@@ -280,3 +280,60 @@ fn engine_save_load_round_trips_scores() {
         reloaded.config().md.hidden_dim
     );
 }
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// The `DSSD` container of the fixed-seed fit, pinned by length and
+/// CRC-32. The model codec, the `ByteReader` primitives and the frame
+/// opener all sit under these bytes; any layout drift changes the pin.
+#[test]
+fn fitted_container_bytes_are_pinned() {
+    let world = build_world(11);
+    let bytes = fitted_service(&world, 12).to_container_bytes();
+    assert_eq!(
+        (bytes.len(), dssddi::tensor::serde::crc32(&bytes)),
+        (69_241, 0xC985_0882),
+        "DSSD container bytes of the fixed-seed fit changed"
+    );
+    let reloaded = DecisionService::load_with_embedded_registry_bytes(&bytes).unwrap();
+    assert_eq!(reloaded.to_container_bytes(), bytes);
+}
+
+/// A small hand-built knowledge base, pinned byte-for-byte as a `DSKB`
+/// container, and decoded back from the pinned bytes.
+#[test]
+fn knowledge_base_container_bytes_are_pinned() {
+    let registry = DrugRegistry::standard();
+    let mut kb = KnowledgeBase::new(&registry);
+    kb.upsert(
+        59,
+        1,
+        KbFact {
+            severity: Severity::Contraindicated,
+            evidence: EvidenceLevel::Established,
+            mechanism: "additive bleeding risk".into(),
+            management: "avoid; monitor INR".into(),
+        },
+    )
+    .unwrap();
+    kb.upsert(
+        2,
+        7,
+        KbFact {
+            severity: Severity::Minor,
+            evidence: EvidenceLevel::Theoretical,
+            mechanism: String::new(),
+            management: String::new(),
+        },
+    )
+    .unwrap();
+    let golden = "44534b4201008c00000000000000560000000000000078478faab14b5c9e0200000000000000020000000000000001000000000000003b0000000000000003031600000000000000616464697469766520626c656564696e67207269736b120000000000000061766f69643b206d6f6e69746f7220494e5202000000000000000700000000000000000000000000000000000000000000000000e418cd5d";
+    assert_eq!(hex(&kb.to_container_bytes()), golden);
+    let bytes: Vec<u8> = (0..golden.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&golden[i..i + 2], 16).unwrap())
+        .collect();
+    assert_eq!(KnowledgeBase::from_container_bytes(&bytes).unwrap(), kb);
+}
