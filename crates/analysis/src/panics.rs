@@ -98,11 +98,22 @@ pub fn check(tree: &SourceTree) -> Vec<Finding> {
 }
 
 /// Keywords that can directly precede `[` without forming an index
-/// expression (`return [..]`, `break [..]`, `in [..]`, `else [..]`...).
+/// expression (`return [..]`, `break [..]`, `in [..]`, `else [..]`,
+/// `impl Trait for [T; N]`...).
 fn is_keyword_before_bracket(ident: &str) -> bool {
     matches!(
         ident,
-        "return" | "break" | "in" | "else" | "match" | "if" | "while" | "mut" | "dyn" | "as"
+        "return"
+            | "break"
+            | "in"
+            | "else"
+            | "match"
+            | "if"
+            | "while"
+            | "mut"
+            | "dyn"
+            | "as"
+            | "for"
     )
 }
 
@@ -170,6 +181,7 @@ fn good(v: Option<u32>, s: &[u32]) -> Option<u32> {
 #![allow(dead_code)]
 #[derive(Debug)]
 struct S;
+impl<const N: usize> Tr for [u8; N] {}
 fn f() {
     let caught = std::panic::catch_unwind(|| 1);
     drop(caught);

@@ -16,7 +16,9 @@
 //! - **WIRE002** — no constant carries a value listed as retired in
 //!   `analysis/baseline.toml`.
 //! - **WIRE003** — `encode_request_ref`/`decode_request` (and the response
-//!   pair) cover the same tag sets.
+//!   pair) cover the same tag sets. A missing codec function, or one that
+//!   references no tag, is itself a finding, so a rename cannot turn the
+//!   tag checks into a vacuous pass.
 //! - **WIRE004** — module-doc claims (`` `ReloadModel` (8) `` tag tables,
 //!   `magic bytes "DSWR"`, `currently 1` version statements) agree with
 //!   the constants.
@@ -215,12 +217,32 @@ fn check_tag_spaces(file: &SourceFile, retired: &RetiredValues, findings: &mut V
             &retired.response_tags,
         ),
     ] {
-        let enc: Vec<(&str, u32)> = find_fn(enc_name)
-            .map(|f| tags_in_fn(tokens, f, false))
-            .unwrap_or_default();
-        let dec: Vec<(&str, u32)> = find_fn(dec_name)
-            .map(|f| tags_in_fn(tokens, f, true))
-            .unwrap_or_default();
+        // A renamed codec, or one that stops writing `put_u8(TAG_X)` /
+        // matching `TAG_X =>`, would leave every check below with nothing
+        // to check; report that instead of passing vacuously.
+        let mut side_tags = |fn_name: &str, decode: bool| {
+            let Some(span) = find_fn(fn_name) else {
+                findings.push(Finding::new(
+                    FindingCode::Wire003,
+                    &file.rel,
+                    0,
+                    format!("`{fn_name}` not found, so the {space} tag space goes unchecked"),
+                ));
+                return Vec::new();
+            };
+            let tags = tags_in_fn(tokens, span, decode);
+            if tags.is_empty() {
+                findings.push(Finding::new(
+                    FindingCode::Wire003,
+                    &file.rel,
+                    span.line,
+                    format!("`{fn_name}` references no `TAG_*` constant, so the {space} tag space goes unchecked"),
+                ));
+            }
+            tags
+        };
+        let enc: Vec<(&str, u32)> = side_tags(enc_name, false);
+        let dec: Vec<(&str, u32)> = side_tags(dec_name, true);
 
         // WIRE003: both sides must reference the same tag-name set.
         for (name, line) in &enc {
@@ -693,14 +715,20 @@ mod tests {
         let good = "//! extension `TraceId` (1) carries the trace.\n\
                     pub const EXT_TRACE_ID: u8 = 1;\n";
         let tree = SourceTree::from_parts(&[(WIRE_FILE, good)]);
-        assert!(check(&tree, &RetiredValues::default()).is_empty());
+        // The fixture has no codec functions, which WIRE003 reports; only
+        // the doc claims are under test here.
+        assert!(check(&tree, &RetiredValues::default())
+            .iter()
+            .all(|f| f.code != FindingCode::Wire004));
 
         let bad = "//! extension `TraceId` (2) carries the trace.\n\
                    pub const EXT_TRACE_ID: u8 = 1;\n";
         let tree = SourceTree::from_parts(&[(WIRE_FILE, bad)]);
-        let findings = check(&tree, &RetiredValues::default());
+        let findings: Vec<_> = check(&tree, &RetiredValues::default())
+            .into_iter()
+            .filter(|f| f.code == FindingCode::Wire004)
+            .collect();
         assert_eq!(findings.len(), 1);
-        assert_eq!(findings[0].code, FindingCode::Wire004);
         assert!(findings[0].message.contains("TraceId"));
     }
 }

@@ -107,6 +107,19 @@ pub fn decode_request(tag: u8) -> Option<Request> {{
         _ => None,
     }}
 }}
+
+pub fn encode_response(out: &mut Vec<u8>, resp: &Response) {{
+    match resp {{
+        Response::Predicted => out.put_u8(TAG_PREDICT),
+    }}
+}}
+
+pub fn decode_response(tag: u8) -> Option<Response> {{
+    match tag {{
+        TAG_PREDICT => Some(Response::Predicted),
+        _ => None,
+    }}
+}}
 "#
     )
 }
@@ -124,6 +137,43 @@ fn wire_fixture_duplicate_tag_is_flagged() {
     let tree = SourceTree::from_parts(&[("crates/serving/src/wire.rs", &wire_source("2"))]);
     let findings = wire_check::check(&tree, &Default::default());
     assert_eq!(codes(&findings), vec![FindingCode::Wire001], "{findings:?}");
+}
+
+#[test]
+fn wire_fixture_renamed_or_tagless_codec_is_flagged() {
+    // Renamed request codecs: the request tag space would otherwise be
+    // checked against nothing and pass vacuously.
+    let renamed = wire_source("1")
+        .replace("fn encode_request_ref(", "fn write_request(")
+        .replace("fn decode_request(", "fn parse_request(");
+    let tree = SourceTree::from_parts(&[("crates/serving/src/wire.rs", &renamed)]);
+    let findings = wire_check::check(&tree, &Default::default());
+    let got = codes(&findings);
+    assert!(!got.is_empty(), "renamed codecs went unnoticed");
+    assert!(
+        got.iter().all(|c| *c == FindingCode::Wire003),
+        "{findings:?}"
+    );
+    assert!(
+        findings
+            .iter()
+            .any(|f| f.message.contains("`decode_request` not found")),
+        "{findings:?}"
+    );
+
+    // An encoder that writes its tags through a helper instead of literal
+    // `put_u8(TAG_X)` calls references no tag at all.
+    let tagless = wire_source("1").replace(".put_u8(TAG_", ".put_tag(TAG_");
+    let tree = SourceTree::from_parts(&[("crates/serving/src/wire.rs", &tagless)]);
+    let findings = wire_check::check(&tree, &Default::default());
+    for name in ["encode_request_ref", "encode_response"] {
+        assert!(
+            findings.iter().any(|f| f.code == FindingCode::Wire003
+                && f.message
+                    .contains(&format!("`{name}` references no `TAG_*` constant"))),
+            "{name}: {findings:?}"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------

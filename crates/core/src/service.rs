@@ -687,7 +687,7 @@ impl DecisionService {
     /// the filesystem.
     pub fn to_container_bytes(&self) -> Vec<u8> {
         let payload = self.container_payload();
-        tserde::seal_frame(tserde::MAGIC, tserde::FORMAT_VERSION, &payload)
+        tserde::seal_container(&payload)
     }
 
     /// Loads a service saved by [`DecisionService::save`], reattaching the
@@ -723,7 +723,7 @@ impl DecisionService {
     /// model arrives *over the wire* (hot reload) instead of from a file.
     /// The same validation applies: damaged bytes are typed errors.
     pub fn load_with_embedded_registry_bytes(bytes: &[u8]) -> Result<Self, CoreError> {
-        let payload = tserde::open_frame(tserde::MAGIC, tserde::FORMAT_VERSION, bytes)?;
+        let payload = tserde::open_container(bytes)?;
         Self::from_payload(payload, None)
     }
 

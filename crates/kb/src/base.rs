@@ -7,7 +7,8 @@ use std::path::Path;
 use dssddi_data::DrugRegistry;
 use dssddi_graph::{Interaction, SignedGraph};
 use dssddi_tensor::serde::{
-    open_frame, parse_frame_header, seal_frame, ByteReader, ByteWriter, SerdeError,
+    open_frame_versions, parse_frame_header_versions, seal_frame, ByteReader, ByteWriter,
+    SerdeError,
 };
 
 use crate::severity::{EvidenceLevel, Severity};
@@ -481,8 +482,8 @@ impl KnowledgeBase {
     pub fn from_container_bytes(bytes: &[u8]) -> Result<Self, KbError> {
         // Same pre-allocation guard as the wire protocol: validate the
         // header (magic, version) and cap the declared length before
-        // `open_frame` compares it against the bytes actually present.
-        let declared = parse_frame_header(KB_MAGIC, KB_FORMAT_VERSION, bytes)?;
+        // `open_frame_versions` compares it against the bytes actually present.
+        let (_, declared) = parse_frame_header_versions(KB_MAGIC, &[KB_FORMAT_VERSION], bytes)?;
         if declared > MAX_KB_PAYLOAD {
             return Err(KbError::Serde(SerdeError::Corrupt {
                 what: format!(
@@ -491,7 +492,7 @@ impl KnowledgeBase {
                 ),
             }));
         }
-        let payload = open_frame(KB_MAGIC, KB_FORMAT_VERSION, bytes)?;
+        let (_, payload) = open_frame_versions(KB_MAGIC, &[KB_FORMAT_VERSION], bytes)?;
         let mut r = ByteReader::new(payload);
         let n_drugs = r.take_usize("kb.n_drugs")?;
         let registry_digest = r.take_u64("kb.registry_digest")?;

@@ -1,5 +1,7 @@
 //! The versioned binary wire protocol of the serving gateway.
 //!
+//! ## Frames
+//!
 //! Every message travels in a *frame* with the same shape as the `DSSD`
 //! container (see [`dssddi_tensor::serde`]), under its own magic bytes and
 //! version so a model file can never be confused with a network frame:
@@ -13,65 +15,10 @@
 //! 14+n    4     CRC-32 (IEEE) of the payload (little-endian u32)
 //! ```
 //!
-//! The payload opens with a one-byte message tag followed by the message
-//! body, encoded with the same bounds-checked `ByteWriter`/`ByteReader`
-//! primitives the model container uses. `f32`/`f64` values travel as their
-//! IEEE-754 bit patterns, so scores and suggestion-satisfaction values are
-//! **bit-identical** after a round trip — a remote client sees exactly the
-//! numbers an in-process caller would.
+//! The payload is a one-byte message tag followed by the message body.
 //!
-//! The knowledge-base subsystem extended the protocol *within* version 1:
-//! new message tags — `ReloadModel` (8), `ReloadKb` (9) and `KbInfo` (10)
-//! requests with matching responses — plus appended fields in existing
-//! bodies (alert policy on `CheckPrescription` requests; severity grades,
-//! management hints and the KB version on reports; `kb_version` on model
-//! listings; the error breakdown on stats). The tag space grew backwards-
-//! compatibly, but the grown bodies did not: a pre-KB peer exchanging those
-//! messages with a current one sees `Malformed` decode errors, not a
-//! version mismatch — both ends of a deployment must ship the same build,
-//! which is how this workspace's server, client and binary are always
-//! built. A future change that wants true mixed-version interop should
-//! bump `WIRE_VERSION` instead of growing bodies again. Reload requests
-//! ship the complete `DSSD`/`DSKB` container in the frame, so the artifact
-//! the gateway validates is exactly the artifact the operator built.
-//!
-//! The admission-control subsystem extended the protocol the same way:
-//! a new error code `Overloaded` (8) — the typed load-shed reply a gateway
-//! under its configured rate limits, quotas or queue bound sends instead of
-//! stalling or dropping the connection (the request was never executed, so
-//! a backoff-and-retry is always safe) — and three appended fields in the
-//! `Stats` body (`shed_requests`, `in_flight`, `queue_depth_hwm`). The
-//! same single-build compatibility caveat applies.
-//!
-//! The resilience subsystem extended the protocol once more: a `Ping` (11)
-//! request with a matching `Pong` (11) response — the control-plane health
-//! check behind `Client::ping`, which bypasses admission control so
-//! liveness probes answer even while the data plane sheds load — plus the
-//! gateway transport counters appended to the `Stats` body (connections
-//! accepted/active/shed and mid-frame stall reaps). Mid-frame timeout
-//! semantics also hardened: a server read deadline now applies *per frame*
-//! ([`read_frame_with_limits`]), so a slow-loris peer trickling bytes just
-//! under the idle timeout is reaped with a typed [`WireError::Timeout`]
-//! once the whole frame overstays its deadline, instead of holding a
-//! handler thread forever. The same single-build caveat applies.
-//!
-//! The replication subsystem extended the protocol once more: a
-//! `PeerStatus` (12) request/response pair exchanging per-key
-//! `(model_version, kb_version)` version vectors between replicas (the
-//! requester sends its own vector, the responder answers with its — one
-//! round trip doubles as a gossip exchange), and a `PeerSync` (13)
-//! request/response pair through which a lagging replica pulls one shard's
-//! complete `DSSD` or `DSKB` container, tagged with the version it
-//! certifies, from a peer that is ahead. Both are idempotent reads: the
-//! anti-entropy loop may retry them freely across connection faults. The
-//! `Stats` body also grew an optional replica section (peer count, sync and
-//! byte counters, per-key versions, observed lag) appended after the
-//! gateway transport counters. The same single-build caveat applies.
-//!
-//! The observability subsystem extended the protocol with the first real
-//! version bump: **traced frames**. An untraced frame still seals exactly
-//! as version 1 above — byte-identical, so old peers interoperate with
-//! clients that never enable tracing. A frame carrying a trace seals as
+//! An untraced frame seals as version 1, byte-identical to every build
+//! since the protocol shipped. A frame carrying a request trace ID seals as
 //! version 2 ([`WIRE_VERSION_TRACED`]), whose payload opens with an
 //! *extension block* before the tagged message:
 //!
@@ -88,20 +35,17 @@
 //! without another version bump. The only type assigned so far is
 //! `TraceId` (1): an 8-byte little-endian u64 request trace ID, minted at
 //! the client edge (or by the gateway when absent) and threaded through
-//! the serving pipeline into per-stage [`SpanRecorder`] breakdowns. A new
-//! `TraceDump` (14) request/response pair dumps the gateway's ring of
-//! slowest-request exemplars so operators can ask a live deployment where
-//! its tail latency lives.
+//! the serving pipeline into per-stage [`SpanRecorder`] breakdowns.
 //!
 //! [`SpanRecorder`]: dssddi_obs::SpanRecorder
 //!
 //! ## Tag registry
 //!
-//! The complete message-tag space of protocol version 1, by direction.
-//! Tags are assigned once and never reused: a value dropped from either
-//! direction's registry moves to `analysis/baseline.toml`'s
-//! `[retired.wire]` list, which `dssddi-analyze`'s wire pass enforces
-//! against the constants in this module.
+//! The complete message-tag space, by direction. Tags are assigned once
+//! and never reused: a value dropped from either direction's registry
+//! moves to `analysis/baseline.toml`'s `[retired.wire]` list, which
+//! `dssddi-analyze`'s wire pass enforces against the constants in this
+//! module.
 //!
 //! | Tag | Request             | Response            |
 //! |----:|---------------------|---------------------|
@@ -121,11 +65,53 @@
 //! |  13 | `PeerSync`          | `PeerSync`          |
 //! |  14 | `TraceDump`         | `TraceDump`         |
 //!
+//! `ReloadModel` (8) and `ReloadKb` (9) ship the complete `DSSD`/`DSKB`
+//! container in the frame, so the artifact the gateway validates is
+//! exactly the artifact the operator built; `KbInfo` (10) summarises a
+//! shard's knowledge base. `Ping` (11) is answered by `Pong` (11) without
+//! passing admission control, so liveness probes answer even while the
+//! data plane sheds load with `Overloaded` (8) errors. Replicas exchange
+//! per-key version vectors with `PeerStatus` (12) and pull the container
+//! of a shard that lags with `PeerSync` (13); both are idempotent reads.
+//! `TraceDump` (14) returns the gateway's slowest-request exemplars.
+//!
+//! ## Encoding rules
+//!
+//! Message bodies are written through one private codec trait: each type's
+//! layout is stated once, as an ordered field list, and both directions are
+//! derived from it.
+//!
+//! - Integers are little-endian; a `usize` travels as a u64.
+//! - `f32`/`f64` travel as their IEEE-754 bit patterns, so scores and
+//!   suggestion-satisfaction values (NaN, −0.0 and ±∞ included) arrive
+//!   bit-identical to an in-process call.
+//! - A `bool` is one byte, 0 or 1.
+//! - A string or `Vec` is a u64 length followed by its bytes or elements;
+//!   a set travels like a `Vec` of its elements in ascending order.
+//! - An `Option` is a `bool` presence flag followed by the value if present.
+//! - A fixed-size array is its elements in order, without a length.
+//! - A tuple or struct is its fields in order.
+//! - Enums, error codes and message tags are one byte.
+//! - Model and KB containers are a u64 length followed by the raw bytes.
+//!
 //! Decoding is fully defensive: truncated frames, flipped bits (caught by
 //! the CRC), foreign magic bytes, future protocol versions, unknown message
 //! tags and oversized declared lengths all produce typed [`WireError`]s —
 //! never a panic, and never an allocation sized from an unvalidated length.
+//!
+//! ## Compatibility
+//!
+//! Version 1 grew after it shipped: new tags, and fields appended to
+//! existing bodies (alert policies, severity grades, KB versions, stats
+//! counters, the replica section). The tag space grew backwards-compatibly,
+//! but the grown bodies did not: a peer built before a body grew sees
+//! `Malformed` decode errors, not a version mismatch. Both ends of a
+//! deployment must ship the same build, which is how this workspace's
+//! server, client and binaries are always built. A change that needs
+//! mixed-version interop should bump the version instead of growing bodies
+//! again.
 
+use std::collections::BTreeSet;
 use std::fmt;
 use std::io::{Read, Write};
 
@@ -135,7 +121,7 @@ use dssddi_core::{
 };
 use dssddi_graph::{Community, Interaction};
 use dssddi_kb::{AlertPolicy, KbInfo, Severity};
-use dssddi_obs::trace::{TraceExemplar, STAGE_COUNT};
+use dssddi_obs::trace::TraceExemplar;
 use dssddi_tensor::serde::{
     open_frame_versions, parse_frame_header_versions, seal_frame, ByteReader, ByteWriter,
     SerdeError, FRAME_HEADER_LEN,
@@ -363,27 +349,6 @@ pub enum SyncArtifact {
     Kb,
 }
 
-impl SyncArtifact {
-    fn to_u8(self) -> u8 {
-        match self {
-            SyncArtifact::Model => 0,
-            SyncArtifact::Kb => 1,
-        }
-    }
-
-    fn from_u8(tag: u8) -> Result<Self, SerdeError> {
-        Ok(match tag {
-            0 => SyncArtifact::Model,
-            1 => SyncArtifact::Kb,
-            other => {
-                return Err(SerdeError::Corrupt {
-                    what: format!("unknown sync artifact {other}"),
-                })
-            }
-        })
-    }
-}
-
 impl fmt::Display for SyncArtifact {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
@@ -535,551 +500,334 @@ pub enum Response {
 }
 
 // ---------------------------------------------------------------------------
-// Field codecs. Every `take_*` below reads through the bounds-checked
-// `ByteReader`, so a truncated or corrupt body surfaces as a typed
-// `SerdeError` from the primitive it failed in.
+// Body codec. Every message body is written through `Wire`, so a type's
+// layout is stated once and encode and decode cannot drift apart. Every
+// `take` reads through the bounds-checked `ByteReader`, so a truncated or
+// corrupt body surfaces as a typed `SerdeError`.
 // ---------------------------------------------------------------------------
 
-fn put_interaction(w: &mut ByteWriter, i: Interaction) {
-    w.put_u8(match i {
-        Interaction::None => 0,
-        Interaction::Synergistic => 1,
-        Interaction::Antagonistic => 2,
-    });
+/// A type with one wire layout, written by `put` and read back by `take`.
+///
+/// Every value encodes to at least one byte, which is what lets
+/// [`take_len`] reject a collection count larger than the bytes left.
+/// `u8` has no impl: single bytes on the wire are tags and enum
+/// discriminants, written explicitly.
+trait Wire: Sized {
+    fn put(&self, w: &mut ByteWriter);
+    fn take(r: &mut ByteReader<'_>) -> Result<Self, SerdeError>;
 }
 
-fn take_interaction(r: &mut ByteReader<'_>) -> Result<Interaction, SerdeError> {
-    Ok(match r.take_u8("interaction")? {
-        0 => Interaction::None,
-        1 => Interaction::Synergistic,
-        2 => Interaction::Antagonistic,
-        other => {
-            return Err(SerdeError::Corrupt {
-                what: format!("unknown interaction sign {other}"),
-            })
+macro_rules! wire_primitive {
+    ($($ty:ty => $put:ident, $take:ident;)*) => {$(
+        impl Wire for $ty {
+            fn put(&self, w: &mut ByteWriter) {
+                w.$put(*self);
+            }
+            fn take(r: &mut ByteReader<'_>) -> Result<Self, SerdeError> {
+                r.$take(std::any::type_name::<Self>())
+            }
         }
-    })
+    )*};
 }
 
-fn put_severity(w: &mut ByteWriter, severity: Severity) {
-    w.put_u8(severity.to_u8());
+wire_primitive! {
+    usize => put_usize, take_usize;
+    u64 => put_u64, take_u64;
+    bool => put_bool, take_bool;
+    f32 => put_f32, take_f32;
+    f64 => put_f64, take_f64;
 }
 
-fn take_severity(r: &mut ByteReader<'_>) -> Result<Severity, SerdeError> {
-    let tag = r.take_u8("severity")?;
-    Severity::from_u8(tag).ok_or_else(|| SerdeError::Corrupt {
-        what: format!("unknown severity byte {tag}"),
-    })
-}
-
-fn put_alert_policy(w: &mut ByteWriter, policy: &AlertPolicy) {
-    put_severity(w, policy.min_severity);
-    w.put_bool(policy.contraindicated_always_fires);
-}
-
-fn take_alert_policy(r: &mut ByteReader<'_>) -> Result<AlertPolicy, SerdeError> {
-    Ok(AlertPolicy {
-        min_severity: take_severity(r)?,
-        contraindicated_always_fires: r.take_bool("policy.contraindicated_always_fires")?,
-    })
-}
-
-fn put_opt_str(w: &mut ByteWriter, value: Option<&str>) {
-    match value {
-        Some(s) => {
-            w.put_bool(true);
-            w.put_str(s);
+/// Implements [`Wire`] for a struct laid out as the listed fields, in
+/// order. Decoding builds the struct literal, so a field added to the type
+/// but not to its list is a compile error rather than a silent gap.
+macro_rules! wire_struct {
+    ($($ty:ident { $($field:ident),* $(,)? })*) => {$(
+        impl Wire for $ty {
+            fn put(&self, w: &mut ByteWriter) {
+                $(self.$field.put(w);)*
+            }
+            fn take(r: &mut ByteReader<'_>) -> Result<Self, SerdeError> {
+                Ok($ty { $($field: Wire::take(r)?,)* })
+            }
         }
-        None => w.put_bool(false),
-    }
+    )*};
 }
 
-fn take_opt_str(r: &mut ByteReader<'_>, what: &'static str) -> Result<Option<String>, SerdeError> {
-    if r.take_bool(what)? {
-        Ok(Some(r.take_str(what)?))
-    } else {
-        Ok(None)
-    }
-}
-
-fn put_opt_u64(w: &mut ByteWriter, value: Option<u64>) {
-    match value {
-        Some(v) => {
-            w.put_bool(true);
-            w.put_u64(v);
-        }
-        None => w.put_bool(false),
-    }
-}
-
-fn take_opt_u64(r: &mut ByteReader<'_>, what: &'static str) -> Result<Option<u64>, SerdeError> {
-    if r.take_bool(what)? {
-        Ok(Some(r.take_u64(what)?))
-    } else {
-        Ok(None)
-    }
-}
-
-fn put_kb_info(w: &mut ByteWriter, info: &KbInfo) {
-    w.put_u64(info.version);
-    w.put_usize(info.n_facts);
-    for count in info.facts_by_severity {
-        w.put_usize(count);
-    }
-    w.put_u64(info.registry_digest);
-    w.put_usize(info.n_drugs);
-}
-
-fn take_kb_info(r: &mut ByteReader<'_>) -> Result<KbInfo, SerdeError> {
-    let version = r.take_u64("kb_info.version")?;
-    let n_facts = r.take_usize("kb_info.n_facts")?;
-    let mut facts_by_severity = [0usize; 4];
-    for count in &mut facts_by_severity {
-        *count = r.take_usize("kb_info.facts_by_severity")?;
-    }
-    Ok(KbInfo {
-        version,
-        n_facts,
-        facts_by_severity,
-        registry_digest: r.take_u64("kb_info.registry_digest")?,
-        n_drugs: r.take_usize("kb_info.n_drugs")?,
-    })
-}
-
-fn put_model_key(w: &mut ByteWriter, key: &ModelKey) {
-    w.put_str(key.as_str());
-}
-
-fn take_model_key(r: &mut ByteReader<'_>) -> Result<ModelKey, SerdeError> {
-    let raw = r.take_str("model_key")?;
-    ModelKey::new(&raw).map_err(|e| SerdeError::Corrupt {
-        what: format!("invalid model key on the wire: {e}"),
-    })
-}
-
-fn put_suggest_filters(w: &mut ByteWriter, filters: &SuggestFilters) {
-    let exclude: Vec<usize> = filters.exclude.iter().map(|d| d.index()).collect();
-    let avoid: Vec<usize> = filters
-        .avoid_antagonists_of
-        .iter()
-        .map(|d| d.index())
-        .collect();
-    let contraindicated: Vec<usize> = filters
-        .exclude_contraindicated_with
-        .iter()
-        .map(|d| d.index())
-        .collect();
-    w.put_usize_slice(&exclude);
-    w.put_usize_slice(&avoid);
-    w.put_usize_slice(&contraindicated);
-}
-
-fn take_suggest_filters(r: &mut ByteReader<'_>) -> Result<SuggestFilters, SerdeError> {
-    let exclude = r.take_usize_vec("filters.exclude")?;
-    let avoid = r.take_usize_vec("filters.avoid_antagonists_of")?;
-    let contraindicated = r.take_usize_vec("filters.exclude_contraindicated_with")?;
-    Ok(SuggestFilters {
-        exclude: exclude.into_iter().map(DrugId::new).collect(),
-        avoid_antagonists_of: avoid.into_iter().map(DrugId::new).collect(),
-        exclude_contraindicated_with: contraindicated.into_iter().map(DrugId::new).collect(),
-    })
-}
-
-fn put_suggest_request(w: &mut ByteWriter, request: &SuggestRequest) {
-    w.put_usize(request.patient.index());
-    w.put_f32_slice(&request.features);
-    w.put_usize(request.k);
-    put_suggest_filters(w, &request.filters);
-}
-
-fn take_suggest_request(r: &mut ByteReader<'_>) -> Result<SuggestRequest, SerdeError> {
-    let patient = PatientId::new(r.take_usize("request.patient")?);
-    let features = r.take_f32_vec("request.features")?;
-    let k = r.take_usize("request.k")?;
-    let filters = take_suggest_filters(r)?;
-    Ok(SuggestRequest::new(patient, features, k).with_filters(filters))
-}
-
-fn put_scored_drug(w: &mut ByteWriter, drug: &ScoredDrug) {
-    w.put_usize(drug.id.index());
-    w.put_str(&drug.name);
-    w.put_f32(drug.score);
-}
-
-fn take_scored_drug(r: &mut ByteReader<'_>) -> Result<ScoredDrug, SerdeError> {
-    Ok(ScoredDrug {
-        id: DrugId::new(r.take_usize("drug.id")?),
-        name: r.take_str("drug.name")?,
-        score: r.take_f32("drug.score")?,
-    })
-}
-
-fn put_scored_drugs(w: &mut ByteWriter, drugs: &[ScoredDrug]) {
-    w.put_usize(drugs.len());
-    for drug in drugs {
-        put_scored_drug(w, drug);
-    }
-}
-
-fn take_scored_drugs(r: &mut ByteReader<'_>) -> Result<Vec<ScoredDrug>, SerdeError> {
-    let len = r.take_usize("drugs.len")?;
-    let mut drugs = Vec::new();
-    for _ in 0..len {
-        drugs.push(take_scored_drug(r)?);
-    }
-    Ok(drugs)
-}
-
-fn put_community(w: &mut ByteWriter, community: &Community) {
-    let nodes: Vec<usize> = community.nodes.iter().copied().collect();
-    w.put_usize_slice(&nodes);
-    w.put_usize(community.edges.len());
-    for &(u, v) in &community.edges {
-        w.put_usize(u);
-        w.put_usize(v);
-    }
-    w.put_usize(community.trussness);
-    w.put_usize(community.diameter);
-}
-
-fn take_community(r: &mut ByteReader<'_>) -> Result<Community, SerdeError> {
-    let nodes = r.take_usize_vec("community.nodes")?;
-    let n_edges = r.take_usize("community.edges.len")?;
-    let mut edges = Vec::new();
-    for _ in 0..n_edges {
-        let u = r.take_usize("community.edge.u")?;
-        let v = r.take_usize("community.edge.v")?;
-        edges.push((u, v));
-    }
-    Ok(Community {
-        nodes: nodes.into_iter().collect(),
-        edges,
-        trussness: r.take_usize("community.trussness")?,
-        diameter: r.take_usize("community.diameter")?,
-    })
-}
-
-fn put_explanation(w: &mut ByteWriter, explanation: &Explanation) {
-    w.put_usize_slice(&explanation.suggested);
-    put_community(w, &explanation.community);
-    w.put_usize(explanation.edges.len());
-    for edge in &explanation.edges {
-        w.put_usize(edge.u);
-        w.put_usize(edge.v);
-        put_interaction(w, edge.interaction);
-    }
-    w.put_usize(explanation.internal_synergy);
-    w.put_usize(explanation.internal_antagonism);
-    w.put_usize(explanation.external_antagonism);
-    w.put_f64(explanation.suggestion_satisfaction);
-}
-
-fn take_explanation(r: &mut ByteReader<'_>) -> Result<Explanation, SerdeError> {
-    let suggested = r.take_usize_vec("explanation.suggested")?;
-    let community = take_community(r)?;
-    let n_edges = r.take_usize("explanation.edges.len")?;
-    let mut edges = Vec::new();
-    for _ in 0..n_edges {
-        edges.push(SignedEdge {
-            u: r.take_usize("explanation.edge.u")?,
-            v: r.take_usize("explanation.edge.v")?,
-            interaction: take_interaction(r)?,
-        });
-    }
-    Ok(Explanation {
+wire_struct! {
+    ScoredDrug { id, name, score }
+    SignedEdge { u, v, interaction }
+    Community { nodes, edges, trussness, diameter }
+    Explanation {
         suggested,
         community,
         edges,
-        internal_synergy: r.take_usize("explanation.internal_synergy")?,
-        internal_antagonism: r.take_usize("explanation.internal_antagonism")?,
-        external_antagonism: r.take_usize("explanation.external_antagonism")?,
-        suggestion_satisfaction: r.take_f64("explanation.ss")?,
-    })
-}
-
-fn put_suggest_response(w: &mut ByteWriter, response: &SuggestResponse) {
-    w.put_usize(response.patient.index());
-    put_scored_drugs(w, &response.drugs);
-    put_explanation(w, &response.explanation);
-    w.put_f64(response.suggestion_satisfaction);
-}
-
-fn take_suggest_response(r: &mut ByteReader<'_>) -> Result<SuggestResponse, SerdeError> {
-    Ok(SuggestResponse {
-        patient: PatientId::new(r.take_usize("response.patient")?),
-        drugs: take_scored_drugs(r)?,
-        explanation: take_explanation(r)?,
-        suggestion_satisfaction: r.take_f64("response.ss")?,
-    })
-}
-
-fn put_opt_patient(w: &mut ByteWriter, patient: Option<PatientId>) {
-    match patient {
-        Some(p) => {
-            w.put_bool(true);
-            w.put_usize(p.index());
-        }
-        None => w.put_bool(false),
+        internal_synergy,
+        internal_antagonism,
+        external_antagonism,
+        suggestion_satisfaction,
     }
-}
-
-fn take_opt_patient(r: &mut ByteReader<'_>) -> Result<Option<PatientId>, SerdeError> {
-    if r.take_bool("patient.present")? {
-        Ok(Some(PatientId::new(r.take_usize("patient.id")?)))
-    } else {
-        Ok(None)
+    SuggestResponse { patient, drugs, explanation, suggestion_satisfaction }
+    PairInteraction { a, a_name, b, b_name, interaction, severity, management }
+    InteractionReport {
+        patient,
+        drugs,
+        antagonistic,
+        synergistic,
+        explanation,
+        suggestion_satisfaction,
+        kb_version,
     }
-}
-
-fn put_check_request(w: &mut ByteWriter, request: &CheckPrescriptionRequest) {
-    put_opt_patient(w, request.patient);
-    let drugs: Vec<usize> = request.drugs.iter().map(|d| d.index()).collect();
-    w.put_usize_slice(&drugs);
-    put_alert_policy(w, &request.policy);
-}
-
-fn take_check_request(r: &mut ByteReader<'_>) -> Result<CheckPrescriptionRequest, SerdeError> {
-    let patient = take_opt_patient(r)?;
-    let drugs = r.take_usize_vec("check.drugs")?;
-    let policy = take_alert_policy(r)?;
-    let mut request = CheckPrescriptionRequest::new(drugs.into_iter().map(DrugId::new).collect())
-        .with_policy(policy);
-    if let Some(p) = patient {
-        request = request.for_patient(p);
-    }
-    Ok(request)
-}
-
-fn put_pair(w: &mut ByteWriter, pair: &PairInteraction) {
-    w.put_usize(pair.a.index());
-    w.put_str(&pair.a_name);
-    w.put_usize(pair.b.index());
-    w.put_str(&pair.b_name);
-    put_interaction(w, pair.interaction);
-    put_severity(w, pair.severity);
-    put_opt_str(w, pair.management.as_deref());
-}
-
-fn take_pair(r: &mut ByteReader<'_>) -> Result<PairInteraction, SerdeError> {
-    Ok(PairInteraction {
-        a: DrugId::new(r.take_usize("pair.a")?),
-        a_name: r.take_str("pair.a_name")?,
-        b: DrugId::new(r.take_usize("pair.b")?),
-        b_name: r.take_str("pair.b_name")?,
-        interaction: take_interaction(r)?,
-        severity: take_severity(r)?,
-        management: take_opt_str(r, "pair.management")?,
-    })
-}
-
-fn put_pairs(w: &mut ByteWriter, pairs: &[PairInteraction]) {
-    w.put_usize(pairs.len());
-    for pair in pairs {
-        put_pair(w, pair);
-    }
-}
-
-fn take_pairs(r: &mut ByteReader<'_>) -> Result<Vec<PairInteraction>, SerdeError> {
-    let len = r.take_usize("pairs.len")?;
-    let mut pairs = Vec::new();
-    for _ in 0..len {
-        pairs.push(take_pair(r)?);
-    }
-    Ok(pairs)
-}
-
-fn put_report(w: &mut ByteWriter, report: &InteractionReport) {
-    put_opt_patient(w, report.patient);
-    put_scored_drugs(w, &report.drugs);
-    put_pairs(w, &report.antagonistic);
-    put_pairs(w, &report.synergistic);
-    put_explanation(w, &report.explanation);
-    w.put_f64(report.suggestion_satisfaction);
-    put_opt_u64(w, report.kb_version);
-}
-
-fn take_report(r: &mut ByteReader<'_>) -> Result<InteractionReport, SerdeError> {
-    Ok(InteractionReport {
-        patient: take_opt_patient(r)?,
-        drugs: take_scored_drugs(r)?,
-        antagonistic: take_pairs(r)?,
-        synergistic: take_pairs(r)?,
-        explanation: take_explanation(r)?,
-        suggestion_satisfaction: r.take_f64("report.ss")?,
-        kb_version: take_opt_u64(r, "report.kb_version")?,
-    })
-}
-
-fn put_model_info(w: &mut ByteWriter, info: &ModelInfo) {
-    put_model_key(w, &info.key);
-    w.put_bool(info.fitted);
-    w.put_usize(info.n_drugs);
-    match info.n_features {
-        Some(n) => {
-            w.put_bool(true);
-            w.put_usize(n);
-        }
-        None => w.put_bool(false),
-    }
-    w.put_u64(info.registry_digest);
-    w.put_str(&info.backbone);
-    w.put_u64(info.kb_version);
-}
-
-fn take_model_info(r: &mut ByteReader<'_>) -> Result<ModelInfo, SerdeError> {
-    let key = take_model_key(r)?;
-    let fitted = r.take_bool("model.fitted")?;
-    let n_drugs = r.take_usize("model.n_drugs")?;
-    let n_features = if r.take_bool("model.n_features.present")? {
-        Some(r.take_usize("model.n_features")?)
-    } else {
-        None
-    };
-    Ok(ModelInfo {
-        key,
-        fitted,
-        n_drugs,
-        n_features,
-        registry_digest: r.take_u64("model.registry_digest")?,
-        backbone: r.take_str("model.backbone")?,
-        kb_version: r.take_u64("model.kb_version")?,
-    })
-}
-
-fn put_model_stats(w: &mut ByteWriter, stats: &ModelStats) {
-    w.put_u64(stats.requests);
-    w.put_u64(stats.errors);
-    w.put_usize(stats.errors_by_code.len());
-    for &(code, count) in &stats.errors_by_code {
-        w.put_u8(code.to_u8());
-        w.put_u64(count);
-    }
-    w.put_u64(stats.cache_hits);
-    w.put_u64(stats.cache_misses);
-    w.put_f64(stats.p50_ms);
-    w.put_f64(stats.p99_ms);
-    w.put_u64(stats.shed_requests);
-    w.put_u64(stats.in_flight);
-    w.put_u64(stats.queue_depth_hwm);
-    // Appended by the observability work: how many latency samples back
-    // the percentiles, so dashboards can tell "no traffic" from "fast
-    // traffic" (both report p50/p99 of zero when the window is empty).
-    w.put_u64(stats.samples);
-}
-
-fn take_model_stats(r: &mut ByteReader<'_>) -> Result<ModelStats, SerdeError> {
-    let requests = r.take_u64("stats.requests")?;
-    let errors = r.take_u64("stats.errors")?;
-    let n_codes = r.take_usize("stats.errors_by_code.len")?;
-    let mut errors_by_code = Vec::new();
-    for _ in 0..n_codes {
-        let code = ErrorCode::from_u8(r.take_u8("stats.error_code")?)?;
-        let count = r.take_u64("stats.error_count")?;
-        errors_by_code.push((code, count));
-    }
-    Ok(ModelStats {
+    ModelInfo { key, fitted, n_drugs, n_features, registry_digest, backbone, kb_version }
+    ModelStats {
         requests,
         errors,
         errors_by_code,
-        cache_hits: r.take_u64("stats.cache_hits")?,
-        cache_misses: r.take_u64("stats.cache_misses")?,
-        p50_ms: r.take_f64("stats.p50_ms")?,
-        p99_ms: r.take_f64("stats.p99_ms")?,
-        shed_requests: r.take_u64("stats.shed_requests")?,
-        in_flight: r.take_u64("stats.in_flight")?,
-        queue_depth_hwm: r.take_u64("stats.queue_depth_hwm")?,
-        samples: r.take_u64("stats.samples")?,
-    })
+        cache_hits,
+        cache_misses,
+        p50_ms,
+        p99_ms,
+        shed_requests,
+        in_flight,
+        queue_depth_hwm,
+        samples,
+    }
+    TraceExemplar { trace_id, model, op, total_micros, stage_micros }
+    GatewayStats { connections_accepted, connections_active, connections_shed, stalled_reaped }
+    KeyVersions { key, model_version, kb_version }
+    ReplicaStats { peers, syncs, bytes_shipped, max_lag, versions }
+    KbInfo { version, n_facts, facts_by_severity, registry_digest, n_drugs }
+    AlertPolicy { min_severity, contraindicated_always_fires }
+    SuggestFilters { exclude, avoid_antagonists_of, exclude_contraindicated_with }
+    StatsReport { models, gateway, replica }
 }
 
-fn put_trace_exemplar(w: &mut ByteWriter, exemplar: &TraceExemplar) {
-    w.put_u64(exemplar.trace_id);
-    w.put_str(&exemplar.model);
-    w.put_str(&exemplar.op);
-    w.put_u64(exemplar.total_micros);
-    for &micros in &exemplar.stage_micros {
-        w.put_u64(micros);
+impl Wire for String {
+    fn put(&self, w: &mut ByteWriter) {
+        w.put_str(self);
+    }
+    fn take(r: &mut ByteReader<'_>) -> Result<Self, SerdeError> {
+        r.take_str(std::any::type_name::<Self>())
     }
 }
 
-fn take_trace_exemplar(r: &mut ByteReader<'_>) -> Result<TraceExemplar, SerdeError> {
-    let trace_id = r.take_u64("trace.id")?;
-    let model = r.take_str("trace.model")?;
-    let op = r.take_str("trace.op")?;
-    let total_micros = r.take_u64("trace.total_micros")?;
-    let mut stage_micros = [0u64; STAGE_COUNT];
-    for micros in &mut stage_micros {
-        *micros = r.take_u64("trace.stage_micros")?;
+/// Reads a collection length and rejects one larger than the bytes left:
+/// every element takes at least one byte, so such a count cannot be real.
+fn take_len(r: &mut ByteReader<'_>, what: &'static str) -> Result<usize, SerdeError> {
+    let len = r.take_usize(what)?;
+    if len > r.remaining() {
+        return Err(SerdeError::Truncated { what });
     }
-    Ok(TraceExemplar {
-        trace_id,
-        model,
-        op,
-        total_micros,
-        stage_micros,
-    })
+    Ok(len)
 }
 
-fn put_gateway_stats(w: &mut ByteWriter, gateway: &GatewayStats) {
-    w.put_u64(gateway.connections_accepted);
-    w.put_u64(gateway.connections_active);
-    w.put_u64(gateway.connections_shed);
-    w.put_u64(gateway.stalled_reaped);
-}
-
-fn take_gateway_stats(r: &mut ByteReader<'_>) -> Result<GatewayStats, SerdeError> {
-    Ok(GatewayStats {
-        connections_accepted: r.take_u64("gateway.connections_accepted")?,
-        connections_active: r.take_u64("gateway.connections_active")?,
-        connections_shed: r.take_u64("gateway.connections_shed")?,
-        stalled_reaped: r.take_u64("gateway.stalled_reaped")?,
-    })
-}
-
-fn put_key_versions(w: &mut ByteWriter, versions: &[KeyVersions]) {
-    w.put_usize(versions.len());
-    for entry in versions {
-        put_model_key(w, &entry.key);
-        w.put_u64(entry.model_version);
-        w.put_u64(entry.kb_version);
+fn put_slice<T: Wire>(w: &mut ByteWriter, items: &[T]) {
+    w.put_usize(items.len());
+    for item in items {
+        item.put(w);
     }
 }
 
-fn take_key_versions(r: &mut ByteReader<'_>) -> Result<Vec<KeyVersions>, SerdeError> {
-    let len = r.take_usize("versions.len")?;
-    let mut versions = Vec::new();
-    for _ in 0..len {
-        versions.push(KeyVersions {
-            key: take_model_key(r)?,
-            model_version: r.take_u64("versions.model_version")?,
-            kb_version: r.take_u64("versions.kb_version")?,
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, w: &mut ByteWriter) {
+        put_slice(w, self);
+    }
+    fn take(r: &mut ByteReader<'_>) -> Result<Self, SerdeError> {
+        let len = take_len(r, std::any::type_name::<Self>())?;
+        // Reserve no more memory than the bytes left in the payload; a
+        // genuine list of wide elements grows past that as it decodes.
+        let fits = r.remaining() / std::mem::size_of::<T>().max(1);
+        let mut items = Vec::with_capacity(len.min(fits));
+        for _ in 0..len {
+            items.push(T::take(r)?);
+        }
+        Ok(items)
+    }
+}
+
+impl Wire for BTreeSet<usize> {
+    fn put(&self, w: &mut ByteWriter) {
+        w.put_usize(self.len());
+        for item in self {
+            item.put(w);
+        }
+    }
+    fn take(r: &mut ByteReader<'_>) -> Result<Self, SerdeError> {
+        let len = take_len(r, std::any::type_name::<Self>())?;
+        (0..len).map(|_| usize::take(r)).collect()
+    }
+}
+
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, w: &mut ByteWriter) {
+        w.put_bool(self.is_some());
+        if let Some(value) = self {
+            value.put(w);
+        }
+    }
+    fn take(r: &mut ByteReader<'_>) -> Result<Self, SerdeError> {
+        if r.take_bool(std::any::type_name::<Self>())? {
+            T::take(r).map(Some)
+        } else {
+            Ok(None)
+        }
+    }
+}
+
+impl<T: Wire + Copy + Default, const N: usize> Wire for [T; N] {
+    fn put(&self, w: &mut ByteWriter) {
+        for item in self {
+            item.put(w);
+        }
+    }
+    fn take(r: &mut ByteReader<'_>) -> Result<Self, SerdeError> {
+        let mut items = [T::default(); N];
+        for item in &mut items {
+            *item = T::take(r)?;
+        }
+        Ok(items)
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn put(&self, w: &mut ByteWriter) {
+        self.0.put(w);
+        self.1.put(w);
+    }
+    fn take(r: &mut ByteReader<'_>) -> Result<Self, SerdeError> {
+        Ok((A::take(r)?, B::take(r)?))
+    }
+}
+
+impl Wire for DrugId {
+    fn put(&self, w: &mut ByteWriter) {
+        self.index().put(w);
+    }
+    fn take(r: &mut ByteReader<'_>) -> Result<Self, SerdeError> {
+        usize::take(r).map(DrugId::new)
+    }
+}
+
+impl Wire for PatientId {
+    fn put(&self, w: &mut ByteWriter) {
+        self.index().put(w);
+    }
+    fn take(r: &mut ByteReader<'_>) -> Result<Self, SerdeError> {
+        usize::take(r).map(PatientId::new)
+    }
+}
+
+impl Wire for ModelKey {
+    fn put(&self, w: &mut ByteWriter) {
+        w.put_str(self.as_str());
+    }
+    fn take(r: &mut ByteReader<'_>) -> Result<Self, SerdeError> {
+        let raw = String::take(r)?;
+        ModelKey::new(&raw).map_err(|e| SerdeError::Corrupt {
+            what: format!("invalid model key on the wire: {e}"),
+        })
+    }
+}
+
+impl Wire for Interaction {
+    fn put(&self, w: &mut ByteWriter) {
+        w.put_u8(match self {
+            Interaction::None => 0,
+            Interaction::Synergistic => 1,
+            Interaction::Antagonistic => 2,
         });
     }
-    Ok(versions)
+    fn take(r: &mut ByteReader<'_>) -> Result<Self, SerdeError> {
+        Ok(match r.take_u8("interaction")? {
+            0 => Interaction::None,
+            1 => Interaction::Synergistic,
+            2 => Interaction::Antagonistic,
+            other => {
+                return Err(SerdeError::Corrupt {
+                    what: format!("unknown interaction sign {other}"),
+                })
+            }
+        })
+    }
 }
 
-fn put_replica_stats(w: &mut ByteWriter, replica: &ReplicaStats) {
-    w.put_usize(replica.peers);
-    w.put_u64(replica.syncs);
-    w.put_u64(replica.bytes_shipped);
-    w.put_u64(replica.max_lag);
-    put_key_versions(w, &replica.versions);
+impl Wire for Severity {
+    fn put(&self, w: &mut ByteWriter) {
+        w.put_u8(self.to_u8());
+    }
+    fn take(r: &mut ByteReader<'_>) -> Result<Self, SerdeError> {
+        let tag = r.take_u8("severity")?;
+        Severity::from_u8(tag).ok_or_else(|| SerdeError::Corrupt {
+            what: format!("unknown severity byte {tag}"),
+        })
+    }
 }
 
-fn take_replica_stats(r: &mut ByteReader<'_>) -> Result<ReplicaStats, SerdeError> {
-    Ok(ReplicaStats {
-        peers: r.take_usize("replica.peers")?,
-        syncs: r.take_u64("replica.syncs")?,
-        bytes_shipped: r.take_u64("replica.bytes_shipped")?,
-        max_lag: r.take_u64("replica.max_lag")?,
-        versions: take_key_versions(r)?,
-    })
+impl Wire for SyncArtifact {
+    fn put(&self, w: &mut ByteWriter) {
+        w.put_u8(match self {
+            SyncArtifact::Model => 0,
+            SyncArtifact::Kb => 1,
+        });
+    }
+    fn take(r: &mut ByteReader<'_>) -> Result<Self, SerdeError> {
+        Ok(match r.take_u8("sync artifact")? {
+            0 => SyncArtifact::Model,
+            1 => SyncArtifact::Kb,
+            other => {
+                return Err(SerdeError::Corrupt {
+                    what: format!("unknown sync artifact {other}"),
+                })
+            }
+        })
+    }
+}
+
+impl Wire for ErrorCode {
+    fn put(&self, w: &mut ByteWriter) {
+        w.put_u8(self.to_u8());
+    }
+    fn take(r: &mut ByteReader<'_>) -> Result<Self, SerdeError> {
+        ErrorCode::from_u8(r.take_u8("error code")?)
+    }
+}
+
+impl Wire for SuggestRequest {
+    fn put(&self, w: &mut ByteWriter) {
+        self.patient.put(w);
+        self.features.put(w);
+        self.k.put(w);
+        self.filters.put(w);
+    }
+    fn take(r: &mut ByteReader<'_>) -> Result<Self, SerdeError> {
+        let patient = Wire::take(r)?;
+        let features = Wire::take(r)?;
+        let k = Wire::take(r)?;
+        Ok(SuggestRequest::new(patient, features, k).with_filters(Wire::take(r)?))
+    }
+}
+
+impl Wire for CheckPrescriptionRequest {
+    fn put(&self, w: &mut ByteWriter) {
+        self.patient.put(w);
+        self.drugs.put(w);
+        self.policy.put(w);
+    }
+    fn take(r: &mut ByteReader<'_>) -> Result<Self, SerdeError> {
+        let patient: Option<PatientId> = Wire::take(r)?;
+        let request = CheckPrescriptionRequest::new(Wire::take(r)?).with_policy(Wire::take(r)?);
+        Ok(match patient {
+            Some(p) => request.for_patient(p),
+            None => request,
+        })
+    }
 }
 
 // ---------------------------------------------------------------------------
 // Message codecs.
 // ---------------------------------------------------------------------------
 
+// Message tags, by direction; the module docs list the full registry.
 const TAG_SUGGEST: u8 = 1;
 const TAG_SUGGEST_BATCH: u8 = 2;
 const TAG_CHECK_PRESCRIPTION: u8 = 3;
@@ -1087,26 +835,16 @@ const TAG_LIST_MODELS: u8 = 4;
 const TAG_STATS: u8 = 5;
 const TAG_SHUTDOWN: u8 = 6;
 const TAG_SHUTTING_DOWN: u8 = 7;
-// Knowledge-base and hot-reload messages, added after protocol version 1
-// shipped: new tags extend the tag space without renumbering the existing
-// messages. (Several existing bodies also grew appended fields — see the
-// module docs for the compatibility caveat.)
 const TAG_RELOAD_MODEL: u8 = 8;
 const TAG_RELOAD_KB: u8 = 9;
 const TAG_KB_INFO: u8 = 10;
 const TAG_MODEL_RELOADED: u8 = 8;
 const TAG_KB_RELOADED: u8 = 9;
 const TAG_KB_INFO_RESPONSE: u8 = 10;
-// Resilience messages: the control-plane liveness check (request and
-// response share tag 11, like every paired message above).
 const TAG_PING: u8 = 11;
 const TAG_PONG: u8 = 11;
-// Replication messages: the peer-to-peer version-vector exchange and the
-// artifact pull (request and response share a tag, like Ping/Pong).
 const TAG_PEER_STATUS: u8 = 12;
 const TAG_PEER_SYNC: u8 = 13;
-// Observability: the slow-request exemplar dump (request and response
-// share tag 14, like every paired message above).
 const TAG_TRACE_DUMP: u8 = 14;
 const TAG_ERROR: u8 = 0;
 
@@ -1245,54 +983,52 @@ impl Request {
 /// Encodes a borrowed request view into a complete, sealed wire frame.
 pub fn encode_request_ref(request: RequestRef<'_>) -> Vec<u8> {
     let mut w = ByteWriter::new();
+    let w = &mut w;
     match request {
         RequestRef::Suggest { model, request } => {
             w.put_u8(TAG_SUGGEST);
-            put_model_key(&mut w, model);
-            put_suggest_request(&mut w, request);
+            model.put(w);
+            request.put(w);
         }
         RequestRef::SuggestBatch { model, requests } => {
             w.put_u8(TAG_SUGGEST_BATCH);
-            put_model_key(&mut w, model);
-            w.put_usize(requests.len());
-            for request in requests {
-                put_suggest_request(&mut w, request);
-            }
+            model.put(w);
+            put_slice(w, requests);
         }
         RequestRef::CheckPrescription { model, request } => {
             w.put_u8(TAG_CHECK_PRESCRIPTION);
-            put_model_key(&mut w, model);
-            put_check_request(&mut w, request);
+            model.put(w);
+            request.put(w);
         }
         RequestRef::ReloadModel { model, container } => {
             w.put_u8(TAG_RELOAD_MODEL);
-            put_model_key(&mut w, model);
+            model.put(w);
             w.put_u8_slice(container);
         }
         RequestRef::ReloadKb { model, container } => {
             w.put_u8(TAG_RELOAD_KB);
-            put_model_key(&mut w, model);
+            model.put(w);
             w.put_u8_slice(container);
         }
         RequestRef::KbInfo { model } => {
             w.put_u8(TAG_KB_INFO);
-            put_model_key(&mut w, model);
+            model.put(w);
         }
         RequestRef::ListModels => w.put_u8(TAG_LIST_MODELS),
         RequestRef::Stats => w.put_u8(TAG_STATS),
         RequestRef::Ping => w.put_u8(TAG_PING),
         RequestRef::PeerStatus { versions } => {
             w.put_u8(TAG_PEER_STATUS);
-            put_key_versions(&mut w, versions);
+            put_slice(w, versions);
         }
         RequestRef::PeerSync { model, artifact } => {
             w.put_u8(TAG_PEER_SYNC);
-            put_model_key(&mut w, model);
-            w.put_u8(artifact.to_u8());
+            model.put(w);
+            artifact.put(w);
         }
         RequestRef::TraceDump { limit } => {
             w.put_u8(TAG_TRACE_DUMP);
-            w.put_u64(limit);
+            limit.put(w);
         }
         RequestRef::Shutdown => w.put_u8(TAG_SHUTDOWN),
     }
@@ -1319,47 +1055,43 @@ pub fn encode_request(request: &Request) -> Vec<u8> {
 /// Decodes a request from a validated frame payload.
 pub fn decode_request(payload: &[u8]) -> Result<Request, SerdeError> {
     let mut r = ByteReader::new(payload);
+    let r = &mut r;
     let request = match r.take_u8("request.tag")? {
         TAG_SUGGEST => Request::Suggest {
-            model: take_model_key(&mut r)?,
-            request: take_suggest_request(&mut r)?,
+            model: Wire::take(r)?,
+            request: Wire::take(r)?,
         },
-        TAG_SUGGEST_BATCH => {
-            let model = take_model_key(&mut r)?;
-            let len = r.take_usize("batch.len")?;
-            let mut requests = Vec::new();
-            for _ in 0..len {
-                requests.push(take_suggest_request(&mut r)?);
-            }
-            Request::SuggestBatch { model, requests }
-        }
+        TAG_SUGGEST_BATCH => Request::SuggestBatch {
+            model: Wire::take(r)?,
+            requests: Wire::take(r)?,
+        },
         TAG_CHECK_PRESCRIPTION => Request::CheckPrescription {
-            model: take_model_key(&mut r)?,
-            request: take_check_request(&mut r)?,
+            model: Wire::take(r)?,
+            request: Wire::take(r)?,
         },
         TAG_RELOAD_MODEL => Request::ReloadModel {
-            model: take_model_key(&mut r)?,
+            model: Wire::take(r)?,
             container: r.take_u8_vec("reload.container")?,
         },
         TAG_RELOAD_KB => Request::ReloadKb {
-            model: take_model_key(&mut r)?,
+            model: Wire::take(r)?,
             container: r.take_u8_vec("reload.container")?,
         },
         TAG_KB_INFO => Request::KbInfo {
-            model: take_model_key(&mut r)?,
+            model: Wire::take(r)?,
         },
         TAG_LIST_MODELS => Request::ListModels,
         TAG_STATS => Request::Stats,
         TAG_PING => Request::Ping,
         TAG_PEER_STATUS => Request::PeerStatus {
-            versions: take_key_versions(&mut r)?,
+            versions: Wire::take(r)?,
         },
         TAG_PEER_SYNC => Request::PeerSync {
-            model: take_model_key(&mut r)?,
-            artifact: SyncArtifact::from_u8(r.take_u8("sync.artifact")?)?,
+            model: Wire::take(r)?,
+            artifact: Wire::take(r)?,
         },
         TAG_TRACE_DUMP => Request::TraceDump {
-            limit: r.take_u64("trace.limit")?,
+            limit: Wire::take(r)?,
         },
         TAG_SHUTDOWN => Request::Shutdown,
         other => {
@@ -1368,78 +1100,62 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, SerdeError> {
             })
         }
     };
-    if !r.is_exhausted() {
-        return Err(SerdeError::Corrupt {
-            what: format!("{} trailing bytes after the request body", r.remaining()),
-        });
-    }
+    body_end(r, "request")?;
     Ok(request)
+}
+
+/// Rejects bytes left over after a decoded message body.
+fn body_end(r: &ByteReader<'_>, message: &str) -> Result<(), SerdeError> {
+    if r.is_exhausted() {
+        Ok(())
+    } else {
+        Err(SerdeError::Corrupt {
+            what: format!("{} trailing bytes after the {message} body", r.remaining()),
+        })
+    }
 }
 
 /// Encodes a response into a complete, sealed wire frame.
 pub fn encode_response(response: &Response) -> Vec<u8> {
     let mut w = ByteWriter::new();
+    let w = &mut w;
     match response {
         Response::Suggest(response) => {
             w.put_u8(TAG_SUGGEST);
-            put_suggest_response(&mut w, response);
+            response.put(w);
         }
         Response::SuggestBatch(responses) => {
             w.put_u8(TAG_SUGGEST_BATCH);
-            w.put_usize(responses.len());
-            for response in responses {
-                put_suggest_response(&mut w, response);
-            }
+            responses.put(w);
         }
         Response::CheckPrescription(report) => {
             w.put_u8(TAG_CHECK_PRESCRIPTION);
-            put_report(&mut w, report);
+            report.put(w);
         }
         Response::ListModels(models) => {
             w.put_u8(TAG_LIST_MODELS);
-            w.put_usize(models.len());
-            for info in models {
-                put_model_info(&mut w, info);
-            }
+            models.put(w);
         }
         Response::Stats(report) => {
             w.put_u8(TAG_STATS);
-            w.put_usize(report.models.len());
-            for (key, stats) in &report.models {
-                put_model_key(&mut w, key);
-                put_model_stats(&mut w, stats);
-            }
-            // Gateway transport counters, appended after the per-model
-            // entries when the resilience work landed (same single-build
-            // compatibility caveat as every other grown body).
-            put_gateway_stats(&mut w, &report.gateway);
-            // Replica section, appended behind a presence flag when the
-            // replication work landed: absent on gateways that run without
-            // a replica agent.
-            match &report.replica {
-                Some(replica) => {
-                    w.put_bool(true);
-                    put_replica_stats(&mut w, replica);
-                }
-                None => w.put_bool(false),
-            }
+            report.put(w);
         }
         Response::ModelReloaded(info) => {
             w.put_u8(TAG_MODEL_RELOADED);
-            put_model_info(&mut w, info);
+            info.put(w);
         }
         Response::KbReloaded(info) => {
             w.put_u8(TAG_KB_RELOADED);
-            put_kb_info(&mut w, info);
+            info.put(w);
         }
         Response::KbInfo(info) => {
             w.put_u8(TAG_KB_INFO_RESPONSE);
-            put_kb_info(&mut w, info);
+            info.put(w);
         }
         Response::Pong => w.put_u8(TAG_PONG),
         Response::PeerStatus { versions } => {
             w.put_u8(TAG_PEER_STATUS);
-            put_key_versions(&mut w, versions);
+            versions.put(w);
         }
         Response::PeerSync {
             model,
@@ -1448,23 +1164,20 @@ pub fn encode_response(response: &Response) -> Vec<u8> {
             container,
         } => {
             w.put_u8(TAG_PEER_SYNC);
-            put_model_key(&mut w, model);
-            w.put_u8(artifact.to_u8());
-            w.put_u64(*version);
+            model.put(w);
+            artifact.put(w);
+            version.put(w);
             w.put_u8_slice(container);
         }
         Response::TraceDump(exemplars) => {
             w.put_u8(TAG_TRACE_DUMP);
-            w.put_usize(exemplars.len());
-            for exemplar in exemplars {
-                put_trace_exemplar(&mut w, exemplar);
-            }
+            exemplars.put(w);
         }
         Response::ShuttingDown => w.put_u8(TAG_SHUTTING_DOWN),
         Response::Error { code, message } => {
             w.put_u8(TAG_ERROR);
-            w.put_u8(code.to_u8());
-            w.put_str(message);
+            code.put(w);
+            message.put(w);
         }
     }
     seal_frame(WIRE_MAGIC, WIRE_VERSION, w.as_bytes())
@@ -1542,70 +1255,31 @@ fn strip_extensions(payload: &[u8]) -> Result<(Option<u64>, &[u8]), SerdeError> 
 /// Decodes a response from a validated frame payload.
 pub fn decode_response(payload: &[u8]) -> Result<Response, SerdeError> {
     let mut r = ByteReader::new(payload);
+    let r = &mut r;
     let response = match r.take_u8("response.tag")? {
-        TAG_SUGGEST => Response::Suggest(take_suggest_response(&mut r)?),
-        TAG_SUGGEST_BATCH => {
-            let len = r.take_usize("batch.len")?;
-            let mut responses = Vec::new();
-            for _ in 0..len {
-                responses.push(take_suggest_response(&mut r)?);
-            }
-            Response::SuggestBatch(responses)
-        }
-        TAG_CHECK_PRESCRIPTION => Response::CheckPrescription(take_report(&mut r)?),
-        TAG_LIST_MODELS => {
-            let len = r.take_usize("models.len")?;
-            let mut models = Vec::new();
-            for _ in 0..len {
-                models.push(take_model_info(&mut r)?);
-            }
-            Response::ListModels(models)
-        }
-        TAG_STATS => {
-            let len = r.take_usize("stats.len")?;
-            let mut models = Vec::new();
-            for _ in 0..len {
-                let key = take_model_key(&mut r)?;
-                let stats = take_model_stats(&mut r)?;
-                models.push((key, stats));
-            }
-            let gateway = take_gateway_stats(&mut r)?;
-            let replica = if r.take_bool("stats.replica.present")? {
-                Some(take_replica_stats(&mut r)?)
-            } else {
-                None
-            };
-            Response::Stats(StatsReport {
-                models,
-                gateway,
-                replica,
-            })
-        }
-        TAG_MODEL_RELOADED => Response::ModelReloaded(take_model_info(&mut r)?),
-        TAG_KB_RELOADED => Response::KbReloaded(take_kb_info(&mut r)?),
-        TAG_KB_INFO_RESPONSE => Response::KbInfo(take_kb_info(&mut r)?),
+        TAG_SUGGEST => Response::Suggest(Wire::take(r)?),
+        TAG_SUGGEST_BATCH => Response::SuggestBatch(Wire::take(r)?),
+        TAG_CHECK_PRESCRIPTION => Response::CheckPrescription(Wire::take(r)?),
+        TAG_LIST_MODELS => Response::ListModels(Wire::take(r)?),
+        TAG_STATS => Response::Stats(Wire::take(r)?),
+        TAG_MODEL_RELOADED => Response::ModelReloaded(Wire::take(r)?),
+        TAG_KB_RELOADED => Response::KbReloaded(Wire::take(r)?),
+        TAG_KB_INFO_RESPONSE => Response::KbInfo(Wire::take(r)?),
         TAG_PONG => Response::Pong,
         TAG_PEER_STATUS => Response::PeerStatus {
-            versions: take_key_versions(&mut r)?,
+            versions: Wire::take(r)?,
         },
         TAG_PEER_SYNC => Response::PeerSync {
-            model: take_model_key(&mut r)?,
-            artifact: SyncArtifact::from_u8(r.take_u8("sync.artifact")?)?,
-            version: r.take_u64("sync.version")?,
+            model: Wire::take(r)?,
+            artifact: Wire::take(r)?,
+            version: Wire::take(r)?,
             container: r.take_u8_vec("sync.container")?,
         },
-        TAG_TRACE_DUMP => {
-            let len = r.take_usize("trace.len")?;
-            let mut exemplars = Vec::new();
-            for _ in 0..len {
-                exemplars.push(take_trace_exemplar(&mut r)?);
-            }
-            Response::TraceDump(exemplars)
-        }
+        TAG_TRACE_DUMP => Response::TraceDump(Wire::take(r)?),
         TAG_SHUTTING_DOWN => Response::ShuttingDown,
         TAG_ERROR => Response::Error {
-            code: ErrorCode::from_u8(r.take_u8("error.code")?)?,
-            message: r.take_str("error.message")?,
+            code: Wire::take(r)?,
+            message: Wire::take(r)?,
         },
         other => {
             return Err(SerdeError::Corrupt {
@@ -1613,11 +1287,7 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, SerdeError> {
             })
         }
     };
-    if !r.is_exhausted() {
-        return Err(SerdeError::Corrupt {
-            what: format!("{} trailing bytes after the response body", r.remaining()),
-        });
-    }
+    body_end(r, "response")?;
     Ok(response)
 }
 
@@ -1657,121 +1327,49 @@ pub fn write_frame(stream: &mut impl Write, frame: &[u8]) -> Result<(), WireErro
     })
 }
 
-/// Reads one frame from a stream and returns its validated payload.
+/// Reads one frame from a stream and returns its validated payload,
+/// discarding any trace ID: [`read_frame_traced`] with no stall budget and
+/// no per-frame deadline.
 ///
 /// A clean end-of-stream *between* frames is [`WireError::ConnectionClosed`];
 /// end-of-stream *inside* a frame is a truncation error. The declared
 /// payload length is checked against [`MAX_FRAME_PAYLOAD`] before any
 /// allocation. The first read-timeout expiry mid-frame is a typed
-/// [`WireError::Timeout`] — the semantics a client wants, where the armed
-/// timeout *is* the response deadline; servers reading multi-megabyte
-/// reload frames over short idle-poll timeouts pass a larger stall budget
-/// via [`read_frame_with_stall_budget`].
+/// [`WireError::Timeout`].
 pub fn read_frame(stream: &mut impl Read) -> Result<Vec<u8>, WireError> {
-    read_frame_with_stall_budget(stream, 1)
+    read_frame_traced(stream, 1, None).map(|(_, payload)| payload)
 }
 
-/// [`read_frame`] tolerating up to `max_stalls` *consecutive* read-timeout
-/// expiries while a frame is mid-flight (the counter resets whenever bytes
-/// arrive). A timeout before the first frame byte is always
-/// [`WireError::IdleTimeout`] and never counts: idle polling stays cheap.
+/// Reads one frame from a stream and returns the trace ID a version-2
+/// frame carries (`None` for version-1 frames) plus the validated payload.
+/// This is the read path of both the server and the client.
 ///
-/// This exists for servers whose read timeout doubles as a shutdown-poll
-/// interval: a 250 ms poll must not sever a peer mid-way through a
-/// multi-megabyte `ReloadModel` upload just because TCP stalled for one
-/// round of retransmission. `max_stalls` is clamped to at least 1.
+/// A read timeout before the first frame byte is always
+/// [`WireError::IdleTimeout`], so idle polling stays cheap. Mid-frame, up
+/// to `max_stalls` *consecutive* read-timeout expiries are tolerated (the
+/// counter resets whenever bytes arrive; `max_stalls` is clamped to at
+/// least 1): a server whose short read timeout doubles as a shutdown poll
+/// must not sever a peer mid-way through a multi-megabyte `ReloadModel`
+/// upload because TCP stalled for one round of retransmission.
 ///
-/// The consecutive-stall budget alone cannot stop a slow-loris peer that
-/// trickles one byte per poll interval — every arrival resets the counter,
-/// so the frame never completes and the reader never times out. Servers
-/// therefore layer a wall-clock per-frame deadline on top via
-/// [`read_frame_with_limits`].
-pub fn read_frame_with_stall_budget(
-    stream: &mut impl Read,
-    max_stalls: u32,
-) -> Result<Vec<u8>, WireError> {
-    read_frame_with_limits(stream, max_stalls, None)
-}
-
-/// [`read_frame_with_stall_budget`] plus an optional wall-clock *per-frame
-/// deadline*: the clock starts when the first header byte arrives, and a
-/// frame still incomplete when the deadline passes fails with a typed
-/// [`WireError::Timeout`] — even if bytes are still trickling in. This is
-/// the slow-loris defense: progress that never finishes a frame is not
-/// progress. Idle waits before the first byte are unaffected and still
-/// surface as [`WireError::IdleTimeout`].
-pub fn read_frame_with_limits(
-    stream: &mut impl Read,
-    max_stalls: u32,
-    frame_deadline: Option<std::time::Duration>,
-) -> Result<Vec<u8>, WireError> {
-    read_frame_traced(stream, max_stalls, frame_deadline).map(|(_, payload)| payload)
-}
-
-/// [`read_frame_with_limits`] keeping the trace ID a version-2 frame
-/// carries (`None` for version-1 frames). This is the server's read path:
-/// the gateway threads the trace ID into the request's span breakdown.
+/// The stall budget alone cannot stop a slow-loris peer that trickles one
+/// byte per poll interval, so `frame_deadline` adds a wall-clock limit per
+/// frame: the clock starts when the first header byte arrives, and a frame
+/// still incomplete when it passes fails with [`WireError::Timeout`] even
+/// while bytes are still trickling in.
 pub fn read_frame_traced(
     stream: &mut impl Read,
     max_stalls: u32,
     frame_deadline: Option<std::time::Duration>,
 ) -> Result<(Option<u64>, Vec<u8>), WireError> {
-    let max_stalls = max_stalls.max(1);
-    let mut stalls = 0u32;
-    let mut deadline: Option<std::time::Instant> = None;
-    let check_deadline = |deadline: &Option<std::time::Instant>| -> Result<(), WireError> {
-        match deadline {
-            Some(at) if std::time::Instant::now() >= *at => Err(WireError::Timeout),
-            _ => Ok(()),
-        }
+    let mut limits = FrameLimits {
+        max_stalls: max_stalls.max(1),
+        stalls: 0,
+        frame_deadline,
+        deadline: None,
     };
     let mut header = [0u8; FRAME_HEADER_LEN];
-    let mut filled = 0usize;
-    while filled < header.len() {
-        match stream.read(&mut header[filled..]) {
-            Ok(0) if filled == 0 => return Err(WireError::ConnectionClosed),
-            Ok(0) => {
-                return Err(WireError::Decode(SerdeError::Truncated {
-                    what: "frame header",
-                }))
-            }
-            Ok(n) => {
-                if filled == 0 {
-                    deadline = frame_deadline.map(|d| std::time::Instant::now() + d);
-                }
-                filled += n;
-                stalls = 0;
-                if filled < header.len() {
-                    check_deadline(&deadline)?;
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            // A read timeout before the first frame byte means the
-            // connection is merely idle (WouldBlock on Unix SO_RCVTIMEO,
-            // TimedOut on Windows); a timeout mid-frame means the peer
-            // stalled, tolerated up to the stall budget.
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                if filled == 0 {
-                    return Err(WireError::IdleTimeout);
-                }
-                check_deadline(&deadline)?;
-                stalls += 1;
-                if stalls >= max_stalls {
-                    return Err(WireError::Timeout);
-                }
-            }
-            Err(e) => {
-                return Err(WireError::Io {
-                    what: format!("reading frame header: {e}"),
-                })
-            }
-        }
-    }
+    limits.fill(stream, &mut header, 0, "frame header")?;
     let (_, declared) = parse_frame_header_versions(WIRE_MAGIC, &WIRE_SUPPORTED_VERSIONS, &header)?;
     if declared > MAX_FRAME_PAYLOAD {
         return Err(WireError::Oversized {
@@ -1784,47 +1382,80 @@ pub fn read_frame_traced(
     let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + declared + 4);
     frame.extend_from_slice(&header);
     frame.resize(FRAME_HEADER_LEN + declared + 4, 0);
-    let mut pos = FRAME_HEADER_LEN;
-    while pos < frame.len() {
-        match stream.read(&mut frame[pos..]) {
-            Ok(0) => {
-                return Err(WireError::Decode(SerdeError::Truncated {
-                    what: "frame payload",
-                }))
-            }
-            Ok(n) => {
-                pos += n;
-                stalls = 0;
-                if pos < frame.len() {
-                    check_deadline(&deadline)?;
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                check_deadline(&deadline)?;
-                stalls += 1;
-                if stalls >= max_stalls {
-                    return Err(WireError::Timeout);
-                }
-            }
-            Err(e) => {
-                return Err(WireError::Io {
-                    what: format!("reading frame payload: {e}"),
-                })
-            }
+    limits.fill(stream, &mut frame, FRAME_HEADER_LEN, "frame payload")?;
+    let (trace, payload) = open_wire_frame_traced(&frame)?;
+    Ok((trace, payload.to_vec()))
+}
+
+/// Stall and deadline accounting for one [`read_frame_traced`] call.
+struct FrameLimits {
+    max_stalls: u32,
+    stalls: u32,
+    frame_deadline: Option<std::time::Duration>,
+    /// Set when the frame's first byte arrives.
+    deadline: Option<std::time::Instant>,
+}
+
+impl FrameLimits {
+    fn check_deadline(&self) -> Result<(), WireError> {
+        match self.deadline {
+            Some(at) if std::time::Instant::now() >= at => Err(WireError::Timeout),
+            _ => Ok(()),
         }
     }
-    let (version, payload) = open_frame_versions(WIRE_MAGIC, &WIRE_SUPPORTED_VERSIONS, &frame)?;
-    if version == WIRE_VERSION_TRACED {
-        let (trace, rest) = strip_extensions(payload)?;
-        Ok((trace, rest.to_vec()))
-    } else {
-        Ok((None, payload.to_vec()))
+
+    /// Reads into `buf[pos..]` until `buf` is full. `pos == 0` means no
+    /// byte of the frame has arrived yet.
+    fn fill(
+        &mut self,
+        stream: &mut impl Read,
+        buf: &mut [u8],
+        mut pos: usize,
+        what: &'static str,
+    ) -> Result<(), WireError> {
+        let len = buf.len();
+        while let Some(rest) = buf.get_mut(pos..).filter(|rest| !rest.is_empty()) {
+            match stream.read(rest) {
+                Ok(0) if pos == 0 => return Err(WireError::ConnectionClosed),
+                Ok(0) => return Err(WireError::Decode(SerdeError::Truncated { what })),
+                Ok(n) => {
+                    if pos == 0 {
+                        self.deadline = self.frame_deadline.map(|d| std::time::Instant::now() + d);
+                    }
+                    pos += n;
+                    self.stalls = 0;
+                    if pos < len {
+                        self.check_deadline()?;
+                    }
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                // A read timeout before the first frame byte means the
+                // connection is merely idle (WouldBlock on Unix SO_RCVTIMEO,
+                // TimedOut on Windows); a timeout mid-frame means the peer
+                // stalled, tolerated up to the stall budget.
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                    ) =>
+                {
+                    if pos == 0 {
+                        return Err(WireError::IdleTimeout);
+                    }
+                    self.check_deadline()?;
+                    self.stalls += 1;
+                    if self.stalls >= self.max_stalls {
+                        return Err(WireError::Timeout);
+                    }
+                }
+                Err(e) => {
+                    return Err(WireError::Io {
+                        what: format!("reading {what}: {e}"),
+                    })
+                }
+            }
+        }
+        Ok(())
     }
 }
 
@@ -2057,7 +1688,7 @@ mod tests {
             pos: 0,
         };
         assert!(matches!(
-            read_frame_with_stall_budget(&mut stalled, 5),
+            read_frame_traced(&mut stalled, 5, None),
             Err(WireError::Timeout)
         ));
         let mut idle = StallAfter {
@@ -2065,7 +1696,7 @@ mod tests {
             pos: 0,
         };
         assert!(matches!(
-            read_frame_with_stall_budget(&mut idle, 5),
+            read_frame_traced(&mut idle, 5, None),
             Err(WireError::IdleTimeout)
         ));
     }

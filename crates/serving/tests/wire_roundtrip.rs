@@ -16,9 +16,11 @@ use dssddi_graph::{Community, Interaction};
 use dssddi_kb::{AlertPolicy, KbInfo, Severity};
 use dssddi_serving::wire::{
     decode_request, decode_response, encode_request, encode_request_ref_traced, encode_response,
-    encode_response_traced, open_wire_frame, open_wire_frame_traced, WireError,
+    encode_response_traced, open_wire_frame, open_wire_frame_traced, WireError, WIRE_MAGIC,
+    WIRE_VERSION,
 };
 use dssddi_serving::{ErrorCode, ModelKey, ModelStats, Request, Response};
+use dssddi_tensor::serde::{seal_frame, SerdeError};
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------------------
@@ -554,6 +556,21 @@ fn error_frames_from_wire_module_decode_everywhere() {
     }
 }
 
+/// Overwrites the u64 count at `offset` of a frame's payload (checking it
+/// held `expect`) with `count`, and re-seals the frame so its CRC is valid
+/// and decoding reaches the count.
+fn reseal_with_count(frame: &[u8], offset: usize, expect: u64, count: u64) -> Vec<u8> {
+    let mut payload = open_wire_frame(frame).expect("fresh frame").to_vec();
+    let field = &mut payload[offset..offset + 8];
+    assert_eq!(
+        field,
+        expect.to_le_bytes(),
+        "layout moved: no count at {offset}"
+    );
+    field.copy_from_slice(&count.to_le_bytes());
+    seal_frame(WIRE_MAGIC, WIRE_VERSION, &payload)
+}
+
 #[test]
 fn oversized_declared_lengths_error_before_allocation() {
     let frame = encode_request(&Request::ListModels);
@@ -568,4 +585,60 @@ fn oversized_declared_lengths_error_before_allocation() {
         dssddi_serving::wire::read_frame(&mut stream),
         Err(WireError::Oversized { .. })
     ));
+
+    // Counts inside a well-sealed body: decoding must reject each one
+    // against the bytes left, not allocate for it.
+    let huge = u64::MAX / 2;
+    let model = ModelKey::new("chronic").unwrap();
+    let request = SuggestRequest::new(PatientId::new(3), vec![0.5, 1.5], 3);
+    // tag (1) + model key (8 + 7): the batch count comes next.
+    let batch = encode_request(&Request::SuggestBatch {
+        model: model.clone(),
+        requests: vec![request.clone()],
+    });
+    // ... and for a single request, the patient (8) precedes the features.
+    let single = encode_request(&Request::Suggest { model, request });
+    for (what, bad) in [
+        ("batch count", reseal_with_count(&batch, 16, 1, huge)),
+        ("features length", reseal_with_count(&single, 24, 2, huge)),
+    ] {
+        let decoded = decode_request(open_wire_frame(&bad).expect("re-sealed frame opens"));
+        assert!(
+            matches!(
+                decoded,
+                Err(SerdeError::Truncated { .. }) | Err(SerdeError::Corrupt { .. })
+            ),
+            "{what}: {decoded:?}"
+        );
+    }
+    // tag (1) + patient (8) + no drugs (8) + no suggested drugs (8): the
+    // community's node count comes next.
+    let response = encode_response(&Response::Suggest(SuggestResponse {
+        patient: PatientId::new(3),
+        drugs: vec![],
+        explanation: Explanation {
+            suggested: vec![],
+            community: Community {
+                nodes: [4, 5].into_iter().collect(),
+                edges: vec![(4, 5)],
+                trussness: 2,
+                diameter: 1,
+            },
+            edges: vec![],
+            internal_synergy: 0,
+            internal_antagonism: 0,
+            external_antagonism: 0,
+            suggestion_satisfaction: 0.5,
+        },
+        suggestion_satisfaction: 0.5,
+    }));
+    let bad = reseal_with_count(&response, 25, 2, huge);
+    let decoded = decode_response(open_wire_frame(&bad).expect("re-sealed frame opens"));
+    assert!(
+        matches!(
+            decoded,
+            Err(SerdeError::Truncated { .. }) | Err(SerdeError::Corrupt { .. })
+        ),
+        "community.nodes length: {decoded:?}"
+    );
 }

@@ -255,37 +255,42 @@ impl<'a> ByteReader<'a> {
     }
 
     fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], SerdeError> {
-        if self.remaining() < n {
-            return Err(SerdeError::Truncated { what });
-        }
-        let slice = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
+        let end = self
+            .pos
+            .checked_add(n)
+            .ok_or(SerdeError::Truncated { what })?;
+        let slice = self
+            .buf
+            .get(self.pos..end)
+            .ok_or(SerdeError::Truncated { what })?;
+        self.pos = end;
         Ok(slice)
+    }
+
+    fn take_array<const N: usize>(&mut self, what: &'static str) -> Result<[u8; N], SerdeError> {
+        self.take(N, what)?
+            .try_into()
+            .map_err(|_| SerdeError::Truncated { what })
     }
 
     /// Reads one byte.
     pub fn take_u8(&mut self, what: &'static str) -> Result<u8, SerdeError> {
-        Ok(self.take(1, what)?[0])
+        self.take_array(what).map(u8::from_le_bytes)
     }
 
     /// Reads a little-endian `u16`.
     pub fn take_u16(&mut self, what: &'static str) -> Result<u16, SerdeError> {
-        let b = self.take(2, what)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
+        self.take_array(what).map(u16::from_le_bytes)
     }
 
     /// Reads a little-endian `u32`.
     pub fn take_u32(&mut self, what: &'static str) -> Result<u32, SerdeError> {
-        let b = self.take(4, what)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+        self.take_array(what).map(u32::from_le_bytes)
     }
 
     /// Reads a little-endian `u64`.
     pub fn take_u64(&mut self, what: &'static str) -> Result<u64, SerdeError> {
-        let b = self.take(8, what)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
+        self.take_array(what).map(u64::from_le_bytes)
     }
 
     /// Reads a `usize` written by [`ByteWriter::put_usize`].
@@ -455,103 +460,25 @@ pub fn seal_frame(magic: [u8; 4], version: u16, payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Validates the leading [`FRAME_HEADER_LEN`] bytes of a frame and returns
-/// the declared payload length.
+/// Validates the leading [`FRAME_HEADER_LEN`] bytes of a frame against its
+/// `magic` and the `supported` versions, and returns the version the frame
+/// carries plus its declared payload length. A single-version format passes
+/// a one-element slice; the serving wire protocol passes both of its
+/// versions. A version outside `supported` reports the highest supported
+/// one in the error.
 ///
-/// Checks, in order: magic bytes, format version, and that the declared
-/// length fits in `usize`. This is the streaming entry point: a socket
-/// reader pulls the fixed-size header first, learns the payload length from
-/// it, then reads exactly `length + 4` more bytes (payload plus CRC) and
-/// hands the whole frame to [`open_frame`].
-pub fn parse_frame_header(magic: [u8; 4], version: u16, bytes: &[u8]) -> Result<usize, SerdeError> {
-    if bytes.len() < 4 {
-        return Err(SerdeError::Truncated {
-            what: "container magic",
-        });
-    }
-    if bytes[..4] != magic {
-        return Err(SerdeError::BadMagic);
-    }
-    if bytes.len() < FRAME_HEADER_LEN {
-        return Err(SerdeError::Truncated {
-            what: "container header",
-        });
-    }
-    let found = u16::from_le_bytes([bytes[4], bytes[5]]);
-    if found != version {
-        return Err(SerdeError::UnsupportedVersion {
-            found,
-            supported: version,
-        });
-    }
-    let declared = u64::from_le_bytes([
-        bytes[6], bytes[7], bytes[8], bytes[9], bytes[10], bytes[11], bytes[12], bytes[13],
-    ]);
-    usize::try_from(declared).map_err(|_| SerdeError::Corrupt {
-        what: format!("declared payload length {declared} does not fit in usize"),
-    })
-}
-
-/// Validates a complete frame sealed by [`seal_frame`] and returns its
-/// payload slice.
-///
-/// Checks, in order: the header (via [`parse_frame_header`]), the declared
-/// payload length against the actual byte count (trailing bytes are
-/// rejected), and the CRC-32 trailer.
-pub fn open_frame(magic: [u8; 4], version: u16, bytes: &[u8]) -> Result<&[u8], SerdeError> {
-    let declared = parse_frame_header(magic, version, bytes)?;
-    let body = &bytes[FRAME_HEADER_LEN..];
-    // The declared length is untrusted input: checked arithmetic, so a
-    // near-usize::MAX value cannot overflow `declared + 4`.
-    let declared_with_crc = declared.checked_add(4).ok_or_else(|| SerdeError::Corrupt {
-        what: format!("declared payload length {declared} overflows"),
-    })?;
-    if body.len() < declared_with_crc {
-        return Err(SerdeError::Truncated {
-            what: "container payload",
-        });
-    }
-    if body.len() > declared_with_crc {
-        return Err(SerdeError::Corrupt {
-            what: format!(
-                "container has {} trailing bytes after the checksum",
-                body.len() - declared_with_crc
-            ),
-        });
-    }
-    let payload = &body[..declared];
-    let stored = u32::from_le_bytes([
-        body[declared],
-        body[declared + 1],
-        body[declared + 2],
-        body[declared + 3],
-    ]);
-    let computed = crc32(payload);
-    if stored != computed {
-        return Err(SerdeError::ChecksumMismatch {
-            expected: stored,
-            found: computed,
-        });
-    }
-    Ok(payload)
-}
-
-/// Like [`parse_frame_header`] but accepting any of several `supported`
-/// versions — the entry point for protocols that negotiate per-frame
-/// (the serving wire protocol's traced frames). Returns the version the
-/// frame actually carries plus its declared payload length; a version not
-/// in `supported` reports the highest supported one in the error.
+/// Checks, in order: magic bytes, header length, format version, and that
+/// the declared length fits in `usize`. This is the streaming entry point:
+/// a socket reader pulls the fixed-size header first, learns the payload
+/// length from it, then reads exactly `length + 4` more bytes (payload plus
+/// CRC) and hands the whole frame to [`open_frame_versions`].
 pub fn parse_frame_header_versions(
     magic: [u8; 4],
     supported: &[u16],
     bytes: &[u8],
 ) -> Result<(u16, usize), SerdeError> {
-    if bytes.len() < 4 {
-        return Err(SerdeError::Truncated {
-            what: "container magic",
-        });
-    }
-    if bytes.get(..4) != Some(magic.as_slice()) {
+    let mut r = ByteReader::new(bytes);
+    if r.take_array("container magic")? != magic {
         return Err(SerdeError::BadMagic);
     }
     if bytes.len() < FRAME_HEADER_LEN {
@@ -559,30 +486,23 @@ pub fn parse_frame_header_versions(
             what: "container header",
         });
     }
-    let mut version_bytes = [0u8; 2];
-    if let Some(src) = bytes.get(4..6) {
-        version_bytes.copy_from_slice(src);
-    }
-    let found = u16::from_le_bytes(version_bytes);
+    let found = r.take_u16("container header")?;
     if !supported.contains(&found) {
         return Err(SerdeError::UnsupportedVersion {
             found,
             supported: supported.iter().copied().max().unwrap_or(0),
         });
     }
-    let mut len_bytes = [0u8; 8];
-    if let Some(src) = bytes.get(6..FRAME_HEADER_LEN) {
-        len_bytes.copy_from_slice(src);
-    }
-    let declared = u64::from_le_bytes(len_bytes);
-    let declared = usize::try_from(declared).map_err(|_| SerdeError::Corrupt {
-        what: format!("declared payload length {declared} does not fit in usize"),
-    })?;
+    let declared = r.take_usize("declared payload length")?;
     Ok((found, declared))
 }
 
-/// Like [`open_frame`] but accepting any of several `supported` versions;
-/// returns the version the frame carries alongside its payload slice.
+/// Validates a complete frame sealed by [`seal_frame`] and returns the
+/// version it carries alongside its payload slice.
+///
+/// Checks, in order: the header (via [`parse_frame_header_versions`]), the
+/// declared payload length against the actual byte count (trailing bytes
+/// are rejected), and the CRC-32 trailer.
 pub fn open_frame_versions<'a>(
     magic: [u8; 4],
     supported: &[u16],
@@ -595,11 +515,6 @@ pub fn open_frame_versions<'a>(
     let declared_with_crc = declared.checked_add(4).ok_or_else(|| SerdeError::Corrupt {
         what: format!("declared payload length {declared} overflows"),
     })?;
-    if body.len() < declared_with_crc {
-        return Err(SerdeError::Truncated {
-            what: "container payload",
-        });
-    }
     if body.len() > declared_with_crc {
         return Err(SerdeError::Corrupt {
             what: format!(
@@ -608,14 +523,9 @@ pub fn open_frame_versions<'a>(
             ),
         });
     }
-    let payload = body.get(..declared).ok_or(SerdeError::Truncated {
-        what: "container payload",
-    })?;
-    let mut crc_bytes = [0u8; 4];
-    if let Some(src) = body.get(declared..declared_with_crc) {
-        crc_bytes.copy_from_slice(src);
-    }
-    let stored = u32::from_le_bytes(crc_bytes);
+    let mut r = ByteReader::new(body);
+    let payload = r.take(declared, "container payload")?;
+    let stored = r.take_u32("container payload")?;
     let computed = crc32(payload);
     if stored != computed {
         return Err(SerdeError::ChecksumMismatch {
@@ -637,7 +547,7 @@ pub fn seal_container(payload: &[u8]) -> Vec<u8> {
 /// Checks, in order: magic bytes, format version, declared payload length
 /// against the actual byte count, and the CRC-32 trailer.
 pub fn open_container(bytes: &[u8]) -> Result<&[u8], SerdeError> {
-    open_frame(MAGIC, FORMAT_VERSION, bytes)
+    open_frame_versions(MAGIC, &[FORMAT_VERSION], bytes).map(|(_, payload)| payload)
 }
 
 /// Writes `bytes` to `path` crash-safely: the bytes land in a temporary
@@ -856,16 +766,19 @@ mod tests {
     #[test]
     fn generic_frames_are_isolated_by_magic_and_version() {
         let framed = seal_frame(*b"DSWP", 3, b"payload");
-        assert_eq!(open_frame(*b"DSWP", 3, &framed).unwrap(), b"payload");
+        assert_eq!(
+            open_frame_versions(*b"DSWP", &[3], &framed).unwrap(),
+            (3, b"payload".as_slice())
+        );
         // A frame sealed under one magic is not a container and vice versa.
         assert_eq!(
-            open_frame(*b"DSWP", 3, &seal_container(b"payload")),
+            open_frame_versions(*b"DSWP", &[3], &seal_container(b"payload")),
             Err(SerdeError::BadMagic)
         );
         assert_eq!(open_container(&framed), Err(SerdeError::BadMagic));
         // Same magic, different version: typed version mismatch.
         assert!(matches!(
-            open_frame(*b"DSWP", 4, &framed),
+            open_frame_versions(*b"DSWP", &[4], &framed),
             Err(SerdeError::UnsupportedVersion {
                 found: 3,
                 supported: 4
@@ -873,8 +786,8 @@ mod tests {
         ));
         // Streaming header parse recovers the declared payload length.
         assert_eq!(
-            parse_frame_header(*b"DSWP", 3, &framed[..FRAME_HEADER_LEN]).unwrap(),
-            b"payload".len()
+            parse_frame_header_versions(*b"DSWP", &[3], &framed[..FRAME_HEADER_LEN]).unwrap(),
+            (3, b"payload".len())
         );
     }
 
