@@ -9,7 +9,6 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use dssddi_core::{DecisionService, PatientId, ServiceBuilder, SuggestRequest};
 use dssddi_data::{
     generate_chronic_cohort, generate_ddi_graph, ChronicCohort, ChronicConfig, DdiConfig,
     DrugRegistry,
@@ -54,34 +53,5 @@ impl BenchWorld {
             cohort,
             drug_features,
         }
-    }
-
-    /// Fits a small but realistic [`DecisionService`] on the first
-    /// `n_observed` patients of the world — the shared fixture of the
-    /// service-layer benches and the `bench_report` workload.
-    pub fn fitted_service(&self, n_observed: usize, seed: u64) -> DecisionService {
-        let observed: Vec<usize> = (0..n_observed.min(self.cohort.n_patients())).collect();
-        let mut rng = StdRng::seed_from_u64(seed);
-        ServiceBuilder::fast()
-            .hidden_dim(16)
-            .epochs(25, 30)
-            .fit_chronic(
-                &self.cohort,
-                &observed,
-                &self.drug_features,
-                &self.ddi,
-                &mut rng,
-            )
-            .expect("service fitting")
-    }
-
-    /// Top-3 suggestion requests for the patient indices in `patients`.
-    pub fn suggest_requests(&self, patients: &[usize]) -> Vec<SuggestRequest> {
-        patients
-            .iter()
-            .map(|&p| {
-                SuggestRequest::new(PatientId::new(p), self.cohort.features().row(p).to_vec(), 3)
-            })
-            .collect()
     }
 }

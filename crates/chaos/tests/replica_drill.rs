@@ -3,7 +3,7 @@
 //!
 //! Black-holing that path mid-run is the deployment's "replica killed"
 //! event as the rest of the system sees it: clinical traffic through
-//! [`ReplicaClient`] fails over and sustains ≥ 99 % success, the two
+//! `Client::connect_any` with connection-fault retries fails over and sustains ≥ 99 % success, the two
 //! surviving replicas keep converging reloads between themselves (the
 //! dark peer costs each anti-entropy round one bounded timeout, nothing
 //! else), and when the path comes back the stale replica pulls itself
@@ -20,9 +20,9 @@ use std::time::Duration;
 use dssddi_chaos::{ChaosProxy, FaultPlan};
 use dssddi_core::{CheckPrescriptionRequest, DrugId};
 use dssddi_kb::{EvidenceLevel, KbFact, KnowledgeBase, Severity};
-use dssddi_replica::{ReplicaAgent, ReplicaClient, ReplicaGroup, ReplicaState};
+use dssddi_replica::{ReplicaAgent, ReplicaGroup, ReplicaState};
 use dssddi_serving::demo::{demo_catalog, DemoWorld, DEMO_SEED};
-use dssddi_serving::{Client, ModelKey, Router, Server, ServingError};
+use dssddi_serving::{Client, ModelKey, RetryPolicy, Router, Server, ServingError};
 
 struct Gateway {
     addr: SocketAddr,
@@ -104,9 +104,15 @@ fn black_holed_replica_drill_sustains_clients_and_repairs_on_recovery() {
 
     // Clinical traffic enters on the victim so the black-hole lands on a
     // live connection and fail-over has to actually happen.
-    let mut client =
-        ReplicaClient::connect(&[c_public, a.addr, b.addr], Duration::from_millis(400), 9)
-            .expect("replica client");
+    let mut client = Client::connect_any(&[c_public, a.addr, b.addr], Duration::from_millis(400))
+        .expect("replica client");
+    client.set_retry_policy(
+        Some(
+            RetryPolicy::new(4, Duration::from_millis(25), Duration::from_millis(400))
+                .retry_connection_faults(true),
+        ),
+        9,
+    );
     let check = CheckPrescriptionRequest::new(vec![DrugId::new(61), DrugId::new(59)]);
 
     let total = 200u32;

@@ -12,8 +12,11 @@
 //! * [`ms_module`] — the Medical Support module: closest-truss-community
 //!   explanation subgraphs and the Suggestion Satisfaction measure
 //!   (Section IV-C, Eq. 19).
-//! * [`system`] — the end-to-end [`Dssddi`] facade: fit on observed
-//!   patients, suggest drugs for new patients, and explain every suggestion.
+//! * [`system`] — the end-to-end [`Dssddi`] engine: fit on observed
+//!   patients, score drugs for new patients, and explain any drug set.
+//! * [`service`] — the clinical [`DecisionService`] API built by
+//!   [`ServiceBuilder`]: ranked, named suggestions with memoized
+//!   explanations, and prescription critique.
 
 #![warn(missing_docs)]
 
@@ -38,7 +41,7 @@ pub use service::{
     CheckPrescriptionRequest, DecisionService, DrugId, InteractionReport, PairInteraction,
     PatientId, ScoredDrug, ServiceBuilder, SuggestFilters, SuggestRequest, SuggestResponse,
 };
-pub use system::{DrugSuggestion, Dssddi, Suggestion};
+pub use system::Dssddi;
 
 // The clinical knowledge-base types travel with the request/response types
 // they annotate (`CheckPrescriptionRequest.policy`, `PairInteraction.severity`),

@@ -468,7 +468,7 @@ impl MdModule {
     /// the decoder input for each patient is assembled directly into a
     /// scratch buffer that is reused across the whole batch, and the
     /// decoder runs through [`Mlp::infer`]. Produces bit-identical scores
-    /// to [`MdModule::predict_scores_taped`] (asserted in tests).
+    /// to the taped training-time forward pass (asserted in tests).
     pub fn predict_scores(&self, features: &Matrix) -> Result<Matrix, CoreError> {
         if features.cols() != self.params.get(self.patient_w).rows() {
             return Err(CoreError::invalid_input(
@@ -499,53 +499,6 @@ impl MdModule {
             }
             pool.recycle(input);
             pool.recycle(logits);
-        }
-        Ok(scores)
-    }
-
-    /// Reference scoring path running every forward pass through the full
-    /// autodiff [`Tape`] — the pre-optimization implementation, kept so
-    /// tests can assert the fast path is bit-identical and benches can
-    /// measure the speedup. Not used by the serving layer.
-    pub fn predict_scores_taped(&self, features: &Matrix) -> Result<Matrix, CoreError> {
-        if features.cols() != self.params.get(self.patient_w).rows() {
-            return Err(CoreError::invalid_input(
-                "patient feature dimension differs from the fitted model",
-            ));
-        }
-        // Taped Eq. 9 projection (the historical `patient_representations`).
-        let hp = {
-            let mut tape = Tape::new();
-            let mut binder = Binder::new();
-            let x = tape.constant(features.clone());
-            let w = binder.bind(&mut tape, &self.params, self.patient_w);
-            let b = binder.bind(&mut tape, &self.params, self.patient_b);
-            let lin = tape.matmul(x, w)?;
-            let lin = tape.add_broadcast_row(lin, b)?;
-            let h = tape.leaky_relu(lin, 0.01);
-            tape.value(h).clone()
-        };
-        let n_drugs = self.drug_repr.rows();
-        let mut scores = Matrix::zeros(features.rows(), n_drugs);
-        let all_drugs: Vec<usize> = (0..n_drugs).collect();
-        for p in 0..features.rows() {
-            let treat = self.treatment_for(features.row(p));
-            let mut tape = Tape::new();
-            let mut binder = Binder::new();
-            let hp_var = tape.constant(hp.select_rows(&vec![p; n_drugs]));
-            let hd_var = tape.constant(self.drug_repr.clone());
-            let hd_sel = tape.select_rows(hd_var, &all_drugs)?;
-            let prod = tape.mul(hp_var, hd_sel)?;
-            let t_col = tape.constant(Matrix::col_vector(&treat));
-            let cat = tape.concat_cols(prod, t_col)?;
-            let logits = self
-                .decoder
-                .forward(&mut tape, &self.params, &mut binder, cat)?;
-            let probs = tape.sigmoid(logits);
-            let values = tape.value(probs);
-            for d in 0..n_drugs {
-                scores.set(p, d, values.get(d, 0));
-            }
         }
         Ok(scores)
     }
@@ -656,6 +609,54 @@ mod tests {
     use dssddi_graph::Interaction;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    impl MdModule {
+        /// Reference scoring path running every forward pass through the full
+        /// autodiff [`Tape`], the way training does: the oracle that
+        /// [`MdModule::predict_scores`] must match bit for bit.
+        fn predict_scores_taped(&self, features: &Matrix) -> Result<Matrix, CoreError> {
+            if features.cols() != self.params.get(self.patient_w).rows() {
+                return Err(CoreError::invalid_input(
+                    "patient feature dimension differs from the fitted model",
+                ));
+            }
+            // Taped Eq. 9 projection (the historical `patient_representations`).
+            let hp = {
+                let mut tape = Tape::new();
+                let mut binder = Binder::new();
+                let x = tape.constant(features.clone());
+                let w = binder.bind(&mut tape, &self.params, self.patient_w);
+                let b = binder.bind(&mut tape, &self.params, self.patient_b);
+                let lin = tape.matmul(x, w)?;
+                let lin = tape.add_broadcast_row(lin, b)?;
+                let h = tape.leaky_relu(lin, 0.01);
+                tape.value(h).clone()
+            };
+            let n_drugs = self.drug_repr.rows();
+            let mut scores = Matrix::zeros(features.rows(), n_drugs);
+            let all_drugs: Vec<usize> = (0..n_drugs).collect();
+            for p in 0..features.rows() {
+                let treat = self.treatment_for(features.row(p));
+                let mut tape = Tape::new();
+                let mut binder = Binder::new();
+                let hp_var = tape.constant(hp.select_rows(&vec![p; n_drugs]));
+                let hd_var = tape.constant(self.drug_repr.clone());
+                let hd_sel = tape.select_rows(hd_var, &all_drugs)?;
+                let prod = tape.mul(hp_var, hd_sel)?;
+                let t_col = tape.constant(Matrix::col_vector(&treat));
+                let cat = tape.concat_cols(prod, t_col)?;
+                let logits = self
+                    .decoder
+                    .forward(&mut tape, &self.params, &mut binder, cat)?;
+                let probs = tape.sigmoid(logits);
+                let values = tape.value(probs);
+                for d in 0..n_drugs {
+                    scores.set(p, d, values.get(d, 0));
+                }
+            }
+            Ok(scores)
+        }
+    }
 
     /// A toy world: two patient groups with distinct features, each group
     /// taking a distinct pair of drugs; one synergy edge inside each pair.

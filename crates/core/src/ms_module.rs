@@ -115,9 +115,12 @@ pub fn suggestion_satisfaction(
 /// bound only matters for adversarial or very long-lived workloads.
 pub const DEFAULT_EXPLANATION_CACHE_CAPACITY: usize = 1024;
 
-/// Memoizes [`explain_suggestion`] results keyed by the (sorted,
-/// deduplicated) suggested drug set, evicting the least-recently-used entry
-/// once a fixed capacity is reached.
+/// Memoizes explanations keyed by the (sorted, deduplicated) suggested drug
+/// set, evicting the least-recently-used entry once a fixed capacity is
+/// reached. The cache never searches itself: a caller runs
+/// [`ExplanationCache::lookup`], on a miss computes the explanation of the
+/// [`ExplanationCache::canonical_key`] with [`ExplanationIndex::explain`],
+/// and stores it with [`ExplanationCache::insert`].
 ///
 /// Suggestion batches are highly repetitive: patients with the same chronic
 /// profile receive the same top-k drugs, and the closest-truss-community
@@ -221,24 +224,6 @@ impl ExplanationCache {
                 last_used: self.clock,
             },
         );
-    }
-
-    /// The explanation for `suggested`, computed at most once per distinct
-    /// cached drug set. The returned explanation lists the drugs in sorted
-    /// order.
-    pub fn explain(
-        &mut self,
-        ddi: &SignedGraph,
-        suggested: &[usize],
-        config: &MsModuleConfig,
-    ) -> Result<Explanation, CoreError> {
-        if let Some(hit) = self.lookup(suggested) {
-            return Ok(hit);
-        }
-        let key = Self::canonical_key(suggested);
-        let explanation = explain_suggestion(ddi, &key, config)?;
-        self.insert(&key, explanation.clone());
-        Ok(explanation)
     }
 
     /// How many lookups were answered from the cache.
@@ -491,24 +476,41 @@ mod tests {
         assert!(explain_suggestion(&g, &[99], &cfg).is_err());
     }
 
+    /// The serving protocol over the cache: `lookup`, and on a miss search
+    /// the canonical key through the index and `insert` the result.
+    fn cached_explain(
+        cache: &mut ExplanationCache,
+        index: &ExplanationIndex,
+        g: &SignedGraph,
+        suggested: &[usize],
+    ) -> Explanation {
+        if let Some(hit) = cache.lookup(suggested) {
+            return hit;
+        }
+        let key = ExplanationCache::canonical_key(suggested);
+        let explanation = index.explain(g, &key, &MsModuleConfig::default()).unwrap();
+        cache.insert(&key, explanation.clone());
+        explanation
+    }
+
     #[test]
     fn explanation_cache_deduplicates_equivalent_suggestions() {
         let g = ddi();
-        let cfg = MsModuleConfig::default();
+        let index = ExplanationIndex::build(&g);
         let mut cache = ExplanationCache::new();
-        let a = cache.explain(&g, &[0, 1, 2], &cfg).unwrap();
+        let a = cached_explain(&mut cache, &index, &g, &[0, 1, 2]);
         // Same set in a different order, and with a duplicate: both hits.
-        let b = cache.explain(&g, &[2, 0, 1], &cfg).unwrap();
-        let c = cache.explain(&g, &[1, 0, 2, 2], &cfg).unwrap();
+        let b = cached_explain(&mut cache, &index, &g, &[2, 0, 1]);
+        let c = cached_explain(&mut cache, &index, &g, &[1, 0, 2, 2]);
         assert_eq!(cache.misses(), 1);
         assert_eq!(cache.hits(), 2);
         assert_eq!(a.suggestion_satisfaction, b.suggestion_satisfaction);
         assert_eq!(a.internal_synergy, c.internal_synergy);
         // A genuinely different set misses.
-        cache.explain(&g, &[3, 4], &cfg).unwrap();
+        cached_explain(&mut cache, &index, &g, &[3, 4]);
         assert_eq!(cache.misses(), 2);
-        // Cached results agree with the uncached path.
-        let direct = explain_suggestion(&g, &[0, 1, 2], &cfg).unwrap();
+        // Cached results agree with the uncached direct search.
+        let direct = explain_suggestion(&g, &[0, 1, 2], &MsModuleConfig::default()).unwrap();
         assert_eq!(a.suggestion_satisfaction, direct.suggestion_satisfaction);
         assert_eq!(a.edges.len(), direct.edges.len());
     }
@@ -516,22 +518,22 @@ mod tests {
     #[test]
     fn explanation_cache_is_size_bounded_with_lru_eviction() {
         let g = ddi();
-        let cfg = MsModuleConfig::default();
+        let index = ExplanationIndex::build(&g);
         let mut cache = ExplanationCache::with_capacity(2);
         assert_eq!(cache.capacity(), 2);
-        cache.explain(&g, &[0, 1], &cfg).unwrap();
-        cache.explain(&g, &[3, 4], &cfg).unwrap();
+        cached_explain(&mut cache, &index, &g, &[0, 1]);
+        cached_explain(&mut cache, &index, &g, &[3, 4]);
         assert_eq!(cache.len(), 2);
         // Touch {0,1} so {3,4} becomes the least recently used entry...
-        cache.explain(&g, &[0, 1], &cfg).unwrap();
+        cached_explain(&mut cache, &index, &g, &[0, 1]);
         assert_eq!(cache.hits(), 1);
         // ...then insert a third set: the cache must stay at capacity.
-        cache.explain(&g, &[5, 6], &cfg).unwrap();
+        cached_explain(&mut cache, &index, &g, &[5, 6]);
         assert_eq!(cache.len(), 2);
         // {0,1} survived the eviction, {3,4} did not.
-        cache.explain(&g, &[0, 1], &cfg).unwrap();
+        cached_explain(&mut cache, &index, &g, &[0, 1]);
         assert_eq!(cache.hits(), 2);
-        cache.explain(&g, &[3, 4], &cfg).unwrap();
+        cached_explain(&mut cache, &index, &g, &[3, 4]);
         assert_eq!(cache.misses(), 4, "evicted set must be recomputed");
         // A zero capacity is clamped so the cache still functions.
         assert_eq!(ExplanationCache::with_capacity(0).capacity(), 1);

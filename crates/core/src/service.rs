@@ -554,7 +554,7 @@ impl ServiceBuilder {
     ) -> Result<DecisionService, CoreError> {
         self.validate()?;
         let registry = self.registry_for(ddi_graph)?;
-        let engine = Dssddi::fit_chronic_inner(
+        let engine = Dssddi::fit_observed(
             cohort,
             observed_patients,
             drug_features,
@@ -949,11 +949,11 @@ impl DecisionService {
     ///
     /// Large batches are sharded across scoped worker threads (the service
     /// is `Sync`; the explanation memo stays shared behind its lock). The
-    /// shard count is picked from the machine's parallelism; use
-    /// [`DecisionService::suggest_batch_sharded`] to control it explicitly.
-    /// Responses always come back in request order with scores identical to
-    /// the serial path — patients are scored independently, so sharding
-    /// cannot change any result.
+    /// worker count follows the machine's parallelism, with at least
+    /// `MIN_REQUESTS_PER_SHARD` (8) requests per worker, so a small batch
+    /// is served on the calling thread. Responses always come back in
+    /// request order with scores identical to the serial path — patients
+    /// are scored independently, so sharding cannot change any result.
     pub fn suggest_batch(
         &self,
         requests: &[SuggestRequest],
@@ -977,24 +977,14 @@ impl DecisionService {
             .map(|n| n.get())
             .unwrap_or(1)
             .min((requests.len() / MIN_REQUESTS_PER_SHARD).max(1));
-        self.suggest_batch_sharded_with_kb(requests, workers, kb)
+        self.serve_sharded(requests, workers, kb)
     }
 
-    /// [`DecisionService::suggest_batch`] with an explicit shard count:
-    /// requests are split into `shards` contiguous chunks served by scoped
-    /// worker threads (`shards` is clamped to `1..=requests.len()`; `1`
-    /// serves the whole batch on the calling thread).
-    pub fn suggest_batch_sharded(
-        &self,
-        requests: &[SuggestRequest],
-        shards: usize,
-    ) -> Result<Vec<SuggestResponse>, CoreError> {
-        self.suggest_batch_sharded_with_kb(requests, shards, None)
-    }
-
-    /// [`DecisionService::suggest_batch_sharded`] with a clinical knowledge
-    /// base grading the `exclude_contraindicated_with` filter.
-    pub fn suggest_batch_sharded_with_kb(
+    /// Validates a batch, then splits it into `shards` contiguous chunks
+    /// served by scoped worker threads (`shards` is clamped to
+    /// `1..=requests.len()`; `1` serves the whole batch on the calling
+    /// thread).
+    fn serve_sharded(
         &self,
         requests: &[SuggestRequest],
         shards: usize,
@@ -1608,10 +1598,10 @@ mod tests {
             .iter()
             .map(|&p| SuggestRequest::new(PatientId::new(p), cohort.features().row(p).to_vec(), 3))
             .collect();
-        let serial = service.suggest_batch_sharded(&requests, 1).unwrap();
+        let serial = service.serve_sharded(&requests, 1, None).unwrap();
         for shards in [2, 4, requests.len(), requests.len() + 10] {
             service.clear_explanation_cache();
-            let parallel = service.suggest_batch_sharded(&requests, shards).unwrap();
+            let parallel = service.serve_sharded(&requests, shards, None).unwrap();
             assert_eq!(parallel.len(), serial.len());
             for (request, (a, b)) in requests.iter().zip(serial.iter().zip(&parallel)) {
                 assert_eq!(
@@ -1637,8 +1627,8 @@ mod tests {
         // Fitted: empty in, empty out, regardless of the shard request.
         let (service, _, _) = fitted_service(31);
         assert_eq!(service.suggest_batch(&[]).unwrap(), vec![]);
-        assert_eq!(service.suggest_batch_sharded(&[], 0).unwrap(), vec![]);
-        assert_eq!(service.suggest_batch_sharded(&[], 1000).unwrap(), vec![]);
+        assert_eq!(service.serve_sharded(&[], 0, None).unwrap(), vec![]);
+        assert_eq!(service.serve_sharded(&[], 1000, None).unwrap(), vec![]);
         // Support-only: an empty batch needs no model, so it must not be a
         // NotFitted error — a poller draining an empty queue is routine.
         let support = support_service(31);
@@ -1682,8 +1672,8 @@ mod tests {
             .iter()
             .map(|&p| SuggestRequest::new(PatientId::new(p), cohort.features().row(p).to_vec(), 3))
             .collect();
-        let serial = service.suggest_batch_sharded(&requests, 1).unwrap();
-        let oversharded = service.suggest_batch_sharded(&requests, 500).unwrap();
+        let serial = service.serve_sharded(&requests, 1, None).unwrap();
+        let oversharded = service.serve_sharded(&requests, 500, None).unwrap();
         assert_eq!(serial, oversharded);
     }
 

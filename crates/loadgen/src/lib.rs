@@ -28,26 +28,17 @@
 //!   outcomes down per endpoint ([`TargetTally`]) with the gateway-side
 //!   cross-check summed across the group.
 //!
-//! The `dssddi-loadgen` binary drives connection-count sweeps and can
-//! splice `loadgen_*` entries into `BENCH_serving.json`
-//! ([`append_results`]); [`run`] is the library entry point the
-//! experiment harness calls directly.
+//! The `dssddi-loadgen` binary drives connection-count sweeps and prints
+//! one text report per run ([`LoadgenReport::render`]); [`run`] is the
+//! library entry point behind it. Serving performance itself is measured
+//! by the repository benchmark (`BENCHMARK.json`), not by this crate.
 
 #![warn(missing_docs)]
 
-pub mod report;
 pub mod runner;
 pub mod workload;
 
-/// Latency histogram, now shared process-wide: the implementation moved to
-/// [`dssddi_obs::histogram`] so the gateway's metrics registry and this
-/// load generator bucket latencies identically. Re-exported here (with the
-/// old `histogram` module path) for source compatibility.
-pub mod histogram {
-    pub use dssddi_obs::histogram::Histogram;
-}
-
-pub use histogram::Histogram;
-pub use report::{append_results, BenchEntry};
+/// The type of [`LoadgenReport::latency`].
+pub use dssddi_obs::histogram::Histogram;
 pub use runner::{run, ConnFaults, KindTally, LoadgenConfig, LoadgenReport, TargetTally};
 pub use workload::{OpKind, WorkloadMix, Zipf};

@@ -4,7 +4,7 @@
 //!   on all three — identical `(model_version, kb_version)` pairs via
 //!   `Stats` and bit-identical clinical responses from every peer;
 //! * killing one replica mid-traffic sustains ≥ 99 % client success
-//!   through [`ReplicaClient`] fail-over, and the replica restarted on
+//!   through `Client::connect_any` fail-over, and the replica restarted on
 //!   the same address pulls itself back to the group's versions in one
 //!   anti-entropy round.
 
@@ -18,9 +18,9 @@ use std::time::Duration;
 
 use dssddi_core::{CheckPrescriptionRequest, DrugId, ServiceBuilder};
 use dssddi_kb::{EvidenceLevel, KbFact, KnowledgeBase, Severity};
-use dssddi_replica::{ReplicaAgent, ReplicaClient, ReplicaGroup, ReplicaState};
+use dssddi_replica::{ReplicaAgent, ReplicaGroup, ReplicaState};
 use dssddi_serving::demo::{demo_catalog, demo_requests, DemoWorld, DEMO_SEED};
-use dssddi_serving::{Client, KeyVersions, ModelKey, Router, Server, ServingError};
+use dssddi_serving::{Client, KeyVersions, ModelKey, RetryPolicy, Router, Server, ServingError};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -239,9 +239,15 @@ fn killing_one_replica_mid_traffic_sustains_clients_and_restart_catches_up() {
 
     // The clinical client starts on the victim, so the kill lands on a
     // live connection and fail-over has to actually happen.
-    let mut client =
-        ReplicaClient::connect(&[victim_addr, a.addr, b.addr], Duration::from_secs(2), 7)
-            .expect("replica client");
+    let mut client = Client::connect_any(&[victim_addr, a.addr, b.addr], Duration::from_secs(2))
+        .expect("replica client");
+    client.set_retry_policy(
+        Some(
+            RetryPolicy::new(4, Duration::from_millis(25), Duration::from_millis(400))
+                .retry_connection_faults(true),
+        ),
+        7,
+    );
 
     let check = CheckPrescriptionRequest::new(vec![DrugId::new(61), DrugId::new(59)]);
     let total = 300u32;

@@ -245,6 +245,31 @@ impl Client {
     /// routed around after its first failure. `timeout` bounds each
     /// connect attempt and arms the per-call response timeout, exactly as
     /// [`Client::connect_timeout`] does.
+    ///
+    /// Fail-over only happens with connection-fault retries armed. The
+    /// recipe for a replica group — 4 attempts, jittered backoff from
+    /// 25 ms capped at 400 ms, covering `Overloaded` rejections and
+    /// transport faults:
+    ///
+    /// ```no_run
+    /// # use std::time::Duration;
+    /// # use dssddi_serving::{Client, RetryPolicy};
+    /// # let endpoints: Vec<std::net::SocketAddr> = vec!["127.0.0.1:4641".parse()?];
+    /// let mut client = Client::connect_any(&endpoints, Duration::from_secs(1))?;
+    /// client.set_retry_policy(
+    ///     Some(
+    ///         RetryPolicy::new(4, Duration::from_millis(25), Duration::from_millis(400))
+    ///             .retry_connection_faults(true),
+    ///     ),
+    ///     42, // jitter seed: fixed in tests, distinct per client in a fleet
+    /// );
+    /// # Ok::<(), Box<dyn std::error::Error>>(())
+    /// ```
+    ///
+    /// Reads (suggest, critique, listings, stats) then fail over to the
+    /// healthiest endpoint. Writes (`reload_model`, `reload_kb`) go to the
+    /// connected endpoint only and are never retried on a transport fault;
+    /// in a replica group, anti-entropy carries them to the other replicas.
     pub fn connect_any(addrs: &[SocketAddr], timeout: Duration) -> Result<Self, ServingError> {
         let mut client = Self::from_endpoints(addrs, Some(timeout), Some(timeout))?;
         client.ensure_connected()?;

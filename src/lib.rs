@@ -26,9 +26,9 @@
 //!   `dssddi-serve` server binary and a blocking [`Client`](serving::Client),
 //! * [`replica`] — replica groups and catalog replication: a seeded
 //!   anti-entropy agent ([`ReplicaAgent`](replica::ReplicaAgent)) keeps N
-//!   gateway processes converged per shard via version vectors, and
-//!   [`ReplicaClient`](replica::ReplicaClient) gives callers read fan-out
-//!   with fail-over plus write forwarding,
+//!   gateway processes converged per shard via version vectors; callers
+//!   reach the group through [`Client::connect_any`](serving::Client::connect_any)
+//!   with connection-fault retries armed,
 //! * [`loadgen`] — the open-loop traffic generator (`dssddi-loadgen`
 //!   binary): Poisson arrivals of mixed clinical traffic with Zipf
 //!   hot-shard skew, replayed against a live gateway with an
@@ -165,10 +165,11 @@
 //!
 //! **Failure modes.** An unreachable peer costs the agent one bounded
 //! timeout per round and is retried next round; it cannot stall serving.
-//! A replica killed mid-traffic is routed around by
-//! [`ReplicaClient`](replica::ReplicaClient) (reads retry over the
-//! healthiest endpoint; the chaos drill asserts ≥99% client success with
-//! one of three replicas down), and on restart it pulls every artifact it
+//! A replica killed mid-traffic is routed around by a
+//! [`Client::connect_any`](serving::Client::connect_any) client with
+//! connection-fault retries armed (reads retry over the healthiest
+//! endpoint; the chaos drill asserts ≥99% client success with one of
+//! three replicas down), and on restart it pulls every artifact it
 //! missed on its first sync round — convergence is eventual, bounded by
 //! the sync interval, and never requires operator action. Reloads forward
 //! to *one* replica and are never retried on transport faults; if the
@@ -206,14 +207,13 @@
 //! ```text
 //! dssddi-serve --listen 127.0.0.1:4547 --demo --rate-default 400:100 &
 //! dssddi-loadgen --addr 127.0.0.1:4547 --connections 1,64,256 \
-//!     --rate 800 --duration-s 5 --slo-p99-ms 50 --append BENCH_serving.json
+//!     --rate 800 --duration-s 5 --slo-p99-ms 50
 //! ```
 //!
 //! Each run prints the shed/ok accounting per operation kind
 //! (cross-checked against the gateway's own `Stats` counters), the
 //! admitted-frame percentiles from a log-bucketed histogram, and an
-//! SLO verdict; `--append` splices `loadgen_c{N}` entries into
-//! `BENCH_serving.json` under the existing schema.
+//! SLO verdict.
 //!
 //! ## Observability
 //!
@@ -374,38 +374,36 @@
 //! built on fused, cache-blocked kernels in [`tensor`] that write into a
 //! reusable [`ScratchPool`](tensor::ScratchPool) — no per-op allocation in
 //! steady state, and **bit-identical** outputs to the taped training-time
-//! forward pass (asserted by property tests; the taped reference survives
-//! as `predict_scores_taped`). Scratch-pool rules: whoever `take`s a buffer
+//! forward pass (asserted by tests against a taped reference that exists
+//! only in test code). Scratch-pool rules: whoever `take`s a buffer
 //! `recycle`s it when done; a taken buffer has *unspecified contents* and
 //! must be fully overwritten (every `*_into` kernel does — use
 //! `take_zeroed` otherwise); buffers never cross threads — each serving
 //! worker owns its own pool.
 //!
 //! Large batches are sharded across scoped worker threads automatically
-//! (the service is `Sync`;
-//! [`suggest_batch_sharded`](core::DecisionService::suggest_batch_sharded)
-//! controls the shard count explicitly). The shared explanation memo is
-//! locked only for lookup/insert — never during a community search — so
-//! cold explanations overlap across shards. Responses are always in
-//! request order with scores identical to serial serving.
+//! (the service is `Sync`; the worker count follows the machine's
+//! parallelism). The shared explanation memo is locked only for
+//! lookup/insert — never during a community search — so cold explanations
+//! overlap across shards. Responses are always in request order with
+//! scores identical to serial serving.
 //!
-//! The serving performance trajectory is tracked in `BENCH_serving.json`
-//! at the repository root, written by
-//! `cargo run --release -p dssddi-experiments --bin bench_report`. Each
-//! entry reports `throughput_rps` (requests per second over the whole
-//! run), and `p50_ms`/`p99_ms` latency percentiles per *batch* call for a
-//! named workload at a given `batch_size` — compare `suggest_batch_cold`
-//! (explanation cache cleared before every batch) against
-//! `suggest_batch_memoized` (steady state), and `predict_scores_taped`
-//! against `predict_scores_tape_free` for the pure model-inference
-//! speedup. The `loadgen_c{N}` entries are different in kind: produced
-//! by the open-loop generator against an admission-limited gateway at
-//! ~2x capacity, they record *delivered* throughput and admitted-frame
-//! percentiles while the excess is shed with typed `Overloaded`
-//! rejections. Criterion benches covering the same paths live in
-//! `crates/bench/benches/service_serving.rs`
-//! (`cargo bench -p dssddi-bench`); CI smoke-runs them with
-//! `cargo bench -- --test`.
+//! Serving performance is measured by the repository benchmark, declared
+//! in `BENCHMARK.json` and implemented in `benchmark/` (its own Cargo
+//! workspace): each workload drives the real gateway over TCP, checks
+//! every answer against an output oracle, and reports end-to-end
+//! latency, throughput and memory alongside a per-layer trace
+//! (explanation search, scoring, KB grading, wire codec, admission):
+//!
+//! ```text
+//! cargo run --release --offline --manifest-path benchmark/Cargo.toml -- \
+//!     --workload ward_batch --seed 1 --seconds 8 --trace 0
+//! ```
+//!
+//! Criterion benches for the training-side kernels (graph algorithms,
+//! GNN training epochs, counterfactual links, experiment pipelines) live
+//! in `crates/bench/benches` (`cargo bench -p dssddi-bench`); CI
+//! smoke-runs them with `cargo bench -- --test`.
 //!
 //! ## Static analysis
 //!
@@ -430,17 +428,13 @@
 //! enumerates the codes; `--explain CODE` prints the rationale and the fix;
 //! `--update-baseline` tightens the ratchet after cleanups.
 //!
-//! ## Migrating from the research facade
+//! ## Engine-level access
 //!
-//! The pre-service entry points still compile but are deprecated:
-//! `Dssddi::fit_chronic` is replaced by
-//! [`ServiceBuilder::fit_chronic`](core::ServiceBuilder::fit_chronic) (which
-//! validates the configuration first), and `Dssddi::suggest` by
-//! [`DecisionService::suggest_batch`](core::DecisionService::suggest_batch)
-//! (which resolves drug names, supports per-request filters and memoizes
-//! explanations). The engine-level `Dssddi::fit` remains available for
-//! research code that needs raw matrices, and a fitted engine is reachable
-//! through `DecisionService::engine`.
+//! [`DecisionService`](core::DecisionService) is the one suggestion API.
+//! Research code that needs raw matrices can still fit the engine directly
+//! with [`Dssddi::fit`](core::Dssddi::fit), and a service's fitted engine
+//! is reachable through
+//! [`DecisionService::engine`](core::DecisionService::engine).
 
 #![warn(missing_docs)]
 
@@ -470,7 +464,7 @@ pub mod prelude {
         Backbone, CheckPrescriptionRequest, CoreError, DecisionService, DrugId, Dssddi,
         DssddiConfig, Explanation, InteractionReport, MdModuleConfig, MsModuleConfig,
         PairInteraction, PatientId, ScoredDrug, ServiceBuilder, SuggestFilters, SuggestRequest,
-        SuggestResponse, Suggestion,
+        SuggestResponse,
     };
     pub use dssddi_data::{
         generate_chronic_cohort, generate_ddi_graph, generate_mimic_dataset,
@@ -484,7 +478,7 @@ pub mod prelude {
     pub use dssddi_loadgen::{LoadgenConfig, LoadgenReport, WorkloadMix};
     pub use dssddi_ml::{ndcg_at_k, precision_at_k, ranking_metrics, recall_at_k, top_k_indices};
     pub use dssddi_obs::{Histogram, MetricsRegistry, MetricsServer, TraceExemplar};
-    pub use dssddi_replica::{ReplicaAgent, ReplicaClient, ReplicaGroup};
+    pub use dssddi_replica::{ReplicaAgent, ReplicaGroup};
     pub use dssddi_serving::{
         AdmissionConfig, Client, GatewayStats, KeyVersions, ModelCatalog, ModelInfo, ModelKey,
         ModelStats, RateLimit, ReplicaState, ReplicaStats, RetryPolicy, Router, Server,
