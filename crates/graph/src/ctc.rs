@@ -6,12 +6,17 @@
 //! paper: truss decomposition → Steiner tree over the query → expansion into
 //! a dense neighbourhood → maximal connected p-truss → iterative shrinking
 //! by removing the furthest nodes while maintaining the truss property.
+//!
+//! Node sets are bitsets and subgraphs are [`UnGraph`] bitset rows over the
+//! host graph's node range; the search allocates its buffers once per call
+//! and reuses them across every shrink iteration.
 
 use std::collections::BTreeSet;
 
 use crate::steiner::steiner_tree;
-use crate::traversal::{all_connected, bfs, component_of, diameter};
-use crate::truss::{maintain_p_truss, truss_decomposition, TrussDecomposition};
+use crate::traversal::{diameter_within, Bfs};
+use crate::truss::{peel_below, truss_decomposition, TrussDecomposition};
+use crate::ungraph::NodeSet;
 use crate::{GraphError, UnGraph};
 
 /// A dense explanation subgraph around a set of query drugs.
@@ -64,23 +69,49 @@ impl Default for CtcConfig {
     }
 }
 
-/// Sum of hop distances from every community node to its furthest query node
-/// — the `dist(G', Q)` objective minimised on line 15 of Algorithm 1.
-fn community_query_distance(graph: &UnGraph, nodes: &BTreeSet<usize>, query: &[usize]) -> usize {
-    let mut total = 0usize;
-    for &q in query {
-        if !nodes.contains(&q) {
-            return usize::MAX;
+/// Distances between a candidate community and the query, from one BFS per
+/// query node.
+struct QueryDistance {
+    /// Largest hop distance from any query node to any community node —
+    /// Huang et al.'s query distance `dist(G', Q)`, minimised on line 15 of
+    /// Algorithm 1 (`usize::MAX` when some node is unreachable).
+    distance: usize,
+    /// Whether every query node is reachable from the first one.
+    connected: bool,
+}
+
+/// Measures the community `(sub, nodes)` against `query` (every query node
+/// must be in `nodes`). Leaves in `furthest[v]` the largest hop distance
+/// from any query node to community node `v`.
+fn community_query_distance(
+    sub: &UnGraph,
+    nodes: &NodeSet,
+    query: &[usize],
+    search: &mut Bfs,
+    furthest: &mut [usize],
+) -> QueryDistance {
+    furthest.fill(0);
+    let mut connected = true;
+    for (i, &q) in query.iter().enumerate() {
+        search.run(sub, q, nodes, None);
+        if i == 0 {
+            connected = query
+                .iter()
+                .all(|&t| search.dist.get(t).is_some_and(|&d| d != usize::MAX));
         }
-        let res = bfs(graph, q, Some(nodes));
-        for &v in nodes {
-            match res.dist[v] {
-                usize::MAX => return usize::MAX,
-                d => total = total.max(d),
-            }
+        for (f, &d) in furthest.iter_mut().zip(&search.dist) {
+            *f = (*f).max(d);
         }
     }
-    total
+    let distance = nodes
+        .iter()
+        .map(|v| furthest.get(v).copied().unwrap_or(usize::MAX))
+        .max()
+        .unwrap_or(0);
+    QueryDistance {
+        distance,
+        connected,
+    }
 }
 
 /// Runs the closest-truss-community search of Algorithm 1.
@@ -125,11 +156,8 @@ pub fn closest_truss_community_with(
     let tree = steiner_tree(graph, &unique_query, decomposition)?;
 
     // Lines 3-4: seed subgraph and its minimum truss level p'.
-    let mut nodes: BTreeSet<usize> = tree.nodes.clone();
-    let mut sub = UnGraph::new(n);
-    for &(u, v) in &tree.edges {
-        sub.add_edge(u, v)?;
-    }
+    let mut nodes = NodeSet::from_nodes(n, tree.nodes.iter().copied());
+    let mut sub = UnGraph::from_edges(n, &tree.edges)?;
     let p_seed = tree
         .edges
         .iter()
@@ -150,82 +178,82 @@ pub fn closest_truss_community_with(
     // Line 8: truss decomposition on the candidate subgraph.
     let local = truss_decomposition(&sub);
 
-    // Line 9: maximum connected p-truss containing the query.
-    let (mut p, mut best_nodes, mut best_sub) = max_connected_p_truss(&local, &unique_query, n);
-    if best_nodes.is_empty() {
-        // The query has no triangles around it at all; fall back to the
-        // Steiner tree itself as a (2-truss) explanation.
-        p = 2;
-        best_nodes = nodes.clone();
-        best_sub = sub.clone();
-    }
+    // Line 9: maximum connected p-truss containing the query. When the
+    // query has no triangles around it at all, the Steiner tree itself
+    // stands as a (2-truss) explanation.
+    let mut search = Bfs::new(n);
+    let (p, mut cur_nodes, mut cur_sub) =
+        max_connected_p_truss(&local, &unique_query, n, &mut search).unwrap_or((2, nodes, sub));
     // Query nodes with no interactions stay visible in the explanation.
-    for &q in &unique_query {
-        best_nodes.insert(q);
-    }
+    cur_nodes.extend(unique_query.iter().copied());
 
     // Lines 10-15: iterative shrinking, keeping the candidate with the
-    // smallest query distance. The candidate state is mutated in place (a
-    // rejected step only ever precedes a `break`, so no rollback is needed)
-    // and the furthest node is found with |Q| BFS passes from the query
-    // nodes instead of one BFS per community node — hop distances are
-    // symmetric, so the selected victim is identical.
-    let mut best_candidate = (
-        community_query_distance(&best_sub, &best_nodes, &unique_query),
-        best_nodes.clone(),
-        best_sub.clone(),
-    );
-    let mut cur_nodes = best_nodes;
-    let mut cur_sub = best_sub;
+    // smallest query distance. The candidate is mutated in place (a
+    // rejected step only ever precedes a `break`, so no rollback is
+    // needed). One BFS per query node measures each state, and the same
+    // distances pick the next victim — hop distances are symmetric, so the
+    // node furthest from the query is the one with the largest distance.
+    let mut furthest = vec![0usize; n];
+    let mut best_distance = community_query_distance(
+        &cur_sub,
+        &cur_nodes,
+        &unique_query,
+        &mut search,
+        &mut furthest,
+    )
+    .distance;
+    let mut best_nodes = cur_nodes.clone();
+    let mut best_sub = cur_sub.clone();
     for _ in 0..config.max_shrink_iterations {
-        // Find the non-query node furthest from the query (max over query
-        // nodes of the hop distance, unreachable counting as infinite —
-        // exactly `traversal::query_distance`, batched).
-        let from_query: Vec<crate::traversal::BfsResult> = unique_query
-            .iter()
-            .map(|&q| bfs(&cur_sub, q, Some(&cur_nodes)))
-            .collect();
-        let mut furthest: Option<(usize, usize)> = None;
-        for &v in &cur_nodes {
+        // The first non-query node (ascending) with the largest distance,
+        // unreachable counting as infinite.
+        let mut victim: Option<(usize, usize)> = None;
+        for v in cur_nodes.iter() {
             if unique_query.contains(&v) {
                 continue;
             }
-            let d = from_query.iter().map(|res| res.dist[v]).max().unwrap_or(0);
-            if furthest.is_none_or(|(fd, _)| d > fd) {
-                furthest = Some((d, v));
+            let d = furthest.get(v).copied().unwrap_or(usize::MAX);
+            if victim.is_none_or(|(vd, _)| d > vd) {
+                victim = Some((d, v));
             }
         }
-        let Some((_, victim)) = furthest else { break };
+        let Some((_, victim)) = victim else { break };
         cur_sub.detach_node(victim);
-        cur_nodes.remove(&victim);
-        maintain_p_truss(&mut cur_sub, &mut cur_nodes, p);
-        for &q in &unique_query {
-            cur_nodes.insert(q);
-        }
-        if !all_connected(&cur_sub, &unique_query, &cur_nodes) && unique_query.len() > 1 {
+        cur_nodes.remove(victim);
+        peel_below(&mut cur_sub, p);
+        cur_nodes.retain(|v| cur_sub.degree(v) > 0);
+        cur_nodes.extend(unique_query.iter().copied());
+        let measured = community_query_distance(
+            &cur_sub,
+            &cur_nodes,
+            &unique_query,
+            &mut search,
+            &mut furthest,
+        );
+        if !measured.connected && unique_query.len() > 1 {
             break;
         }
-        let d = community_query_distance(&cur_sub, &cur_nodes, &unique_query);
-        if d <= best_candidate.0 {
-            best_candidate = (d, cur_nodes.clone(), cur_sub.clone());
+        if measured.distance <= best_distance {
+            best_distance = measured.distance;
+            best_nodes.clone_from(&cur_nodes);
+            best_sub.clone_from(&cur_sub);
         }
         if cur_nodes.len() <= unique_query.len() {
             break;
         }
     }
 
-    let (_, final_nodes, final_sub) = best_candidate;
-    let edges: Vec<(usize, usize)> = final_sub
+    let edges: Vec<(usize, usize)> = best_sub
         .edges()
         .into_iter()
-        .filter(|&(u, v)| final_nodes.contains(&u) && final_nodes.contains(&v))
+        .filter(|&(u, v)| best_nodes.contains(u) && best_nodes.contains(v))
         .collect();
-    let diam = diameter(&final_sub, &final_nodes);
+    let diameter = diameter_within(&best_sub, &best_nodes, &mut search);
     Ok(Community {
-        nodes: final_nodes,
+        nodes: best_nodes.iter().collect(),
         edges,
         trussness: p,
-        diameter: diam,
+        diameter,
     })
 }
 
@@ -235,53 +263,50 @@ fn expand_candidate(
     graph: &UnGraph,
     decomposition: &TrussDecomposition,
     sub: &mut UnGraph,
-    nodes: &mut BTreeSet<usize>,
+    nodes: &mut NodeSet,
     p_seed: usize,
     target_size: usize,
 ) {
-    let mut frontier: Vec<usize> = nodes.iter().copied().collect();
-    while nodes.len() < target_size {
+    let dense = |u: usize, v: usize| decomposition.truss(u, v).unwrap_or(0) >= p_seed;
+    let mut size = nodes.len();
+    let mut frontier: Vec<usize> = nodes.iter().collect();
+    let mut next_frontier: Vec<usize> = Vec::new();
+    while size < target_size {
         let mut added_any = false;
-        let mut next_frontier = Vec::new();
-        for &u in &frontier {
+        next_frontier.clear();
+        'grow: for &u in &frontier {
             for v in graph.neighbors(u) {
-                let t = decomposition.truss(u, v).unwrap_or(0);
-                if t >= p_seed {
-                    if !sub.has_edge(u, v) {
-                        let _ = sub.add_edge(u, v);
-                        added_any = true;
-                    }
-                    if nodes.insert(v) {
-                        next_frontier.push(v);
-                        added_any = true;
-                        if nodes.len() >= target_size {
-                            break;
-                        }
+                if !dense(u, v) {
+                    continue;
+                }
+                if !sub.has_edge(u, v) {
+                    let _ = sub.add_edge(u, v);
+                    added_any = true;
+                }
+                if nodes.insert(v) {
+                    next_frontier.push(v);
+                    added_any = true;
+                    size += 1;
+                    if size >= target_size {
+                        break 'grow;
                     }
                 }
-            }
-            if nodes.len() >= target_size {
-                break;
             }
         }
         // Also close triangles among the current node set so the local truss
         // decomposition sees the full induced density.
-        let snapshot: Vec<usize> = nodes.iter().copied().collect();
-        for &u in &snapshot {
+        for u in nodes.iter() {
             for v in graph.neighbors(u) {
-                if nodes.contains(&v) && !sub.has_edge(u, v) {
-                    let t = decomposition.truss(u, v).unwrap_or(0);
-                    if t >= p_seed {
-                        let _ = sub.add_edge(u, v);
-                        added_any = true;
-                    }
+                if nodes.contains(v) && !sub.has_edge(u, v) && dense(u, v) {
+                    let _ = sub.add_edge(u, v);
+                    added_any = true;
                 }
             }
         }
         if !added_any {
             break;
         }
-        frontier = next_frontier;
+        std::mem::swap(&mut frontier, &mut next_frontier);
         if frontier.is_empty() {
             break;
         }
@@ -289,33 +314,52 @@ fn expand_candidate(
 }
 
 /// Line 9 of Algorithm 1: the connected p-truss with the largest `p` that
-/// still contains every query node (restricted to the candidate subgraph).
+/// still contains every query node (restricted to the candidate subgraph),
+/// as `(p, its nodes, its edges)`. Levels are tried from the top down, each
+/// adding the edges of truss number exactly `p` to the previous level's.
 fn max_connected_p_truss(
     local: &TrussDecomposition,
     query: &[usize],
     n: usize,
-) -> (usize, BTreeSet<usize>, UnGraph) {
-    let max_p = local.max_truss();
-    for p in (2..=max_p.max(2)).rev() {
-        let mut candidate = UnGraph::new(n);
-        for (&(u, v), &t) in local.iter() {
-            if t >= p {
+    search: &mut Bfs,
+) -> Option<(usize, NodeSet, UnGraph)> {
+    let &first = query.first()?;
+    let mut candidate = UnGraph::new(n);
+    let mut touched = NodeSet::new(n);
+    for p in (2..=local.max_truss().max(2)).rev() {
+        for ((u, v), t) in local.iter() {
+            if t == p {
                 let _ = candidate.add_edge(u, v);
+                touched.insert(u);
+                touched.insert(v);
             }
         }
-        let within: BTreeSet<usize> = candidate.non_isolated_nodes().into_iter().collect();
-        if query.iter().all(|q| within.contains(q)) && all_connected(&candidate, query, &within) {
-            let comp = component_of(&candidate, query[0], Some(&within));
-            let pruned = candidate.induced_subgraph(&comp);
-            return (p, comp, pruned);
+        if !query.iter().all(|&q| touched.contains(q)) {
+            continue;
+        }
+        search.run(&candidate, first, &touched, None);
+        let reached = |q: &usize| search.dist.get(*q).is_some_and(|&d| d != usize::MAX);
+        if query.iter().all(reached) {
+            let comp = NodeSet::from_nodes(
+                n,
+                search
+                    .dist
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &d)| d != usize::MAX)
+                    .map(|(v, _)| v),
+            );
+            candidate.retain_within(&comp);
+            return Some((p, comp, candidate));
         }
     }
-    (2, BTreeSet::new(), UnGraph::new(n))
+    None
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::traversal::all_connected;
 
     /// A graph with a dense 4-clique {0,1,2,3}, a triangle {4,5,6} bridged to
     /// the clique, and a long sparse path 7-8-9.

@@ -2,7 +2,8 @@
 //!
 //! Graph data structures and algorithms backing the DSSDDI reproduction:
 //!
-//! * [`UnGraph`] — simple undirected graphs with deterministic iteration,
+//! * [`UnGraph`] — simple undirected graphs stored as dense adjacency
+//!   bitsets, with deterministic (ascending) iteration,
 //! * [`SignedGraph`] — the drug-drug interaction graph of Definition 2
 //!   (synergistic / antagonistic / explicit no-interaction edges),
 //! * [`BipartiteGraph`] — the patient–drug medication-use graph of
@@ -63,3 +64,6 @@ impl std::fmt::Display for GraphError {
 }
 
 impl std::error::Error for GraphError {}
+
+#[cfg(test)]
+mod tests;

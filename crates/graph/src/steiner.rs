@@ -42,6 +42,13 @@ pub fn truss_distance_weight(decomposition: &TrussDecomposition, u: usize, v: us
     1.0 + (k_max - t).max(0.0) / (k_max + 1.0)
 }
 
+/// A query node's cheapest known link to the growing minimum spanning tree.
+struct Link {
+    in_tree: bool,
+    cost: f64,
+    from: usize,
+}
+
 /// Computes an approximate minimum Steiner tree connecting `query` in
 /// `graph`, using Mehlhorn's construction: build the complete distance graph
 /// over the query nodes, take its minimum spanning tree, expand each MST
@@ -69,7 +76,6 @@ pub fn steiner_tree(
         return Err(GraphError::EmptyQuery);
     }
     let mut nodes: BTreeSet<usize> = unique_query.iter().copied().collect();
-    let mut edges: BTreeSet<(usize, usize)> = BTreeSet::new();
     if unique_query.len() == 1 {
         return Ok(SteinerTree {
             nodes,
@@ -83,56 +89,71 @@ pub fn steiner_tree(
         .iter()
         .map(|&q| dijkstra(graph, q, weight))
         .collect();
+    // Distance from the `from`-th to the `to`-th query node.
+    let cost = |from: usize, to: usize| -> f64 {
+        match (per_query.get(from), unique_query.get(to)) {
+            (Some((dist, _)), Some(&target)) => dist.get(target).copied().unwrap_or(f64::INFINITY),
+            _ => f64::INFINITY,
+        }
+    };
 
-    // Prim's MST over the complete distance graph on the query nodes.
-    let q = unique_query.len();
-    let mut in_tree = vec![false; q];
-    let mut best_cost = vec![f64::INFINITY; q];
-    let mut best_from = vec![usize::MAX; q];
-    in_tree[0] = true;
-    for j in 1..q {
-        best_cost[j] = per_query[0].0[unique_query[j]];
-        best_from[j] = 0;
-    }
-    for _ in 1..q {
-        let mut pick = usize::MAX;
-        let mut pick_cost = f64::INFINITY;
-        for j in 0..q {
-            if !in_tree[j] && best_cost[j] < pick_cost {
-                pick = j;
-                pick_cost = best_cost[j];
+    // Prim's MST over the complete distance graph on the query nodes,
+    // grown from the first query node.
+    let mut links: Vec<Link> = (0..unique_query.len())
+        .map(|j| Link {
+            in_tree: j == 0,
+            cost: if j == 0 { f64::INFINITY } else { cost(0, j) },
+            from: 0,
+        })
+        .collect();
+    let mut tree = UnGraph::new(n);
+    for _ in 1..links.len() {
+        // The first cheapest outside node; strict `<` keeps the earliest
+        // among equal costs, and unreachable nodes are never picked.
+        let mut pick: Option<(usize, f64)> = None;
+        for (j, link) in links.iter().enumerate() {
+            if !link.in_tree && link.cost < pick.map_or(f64::INFINITY, |(_, c)| c) {
+                pick = Some((j, link.cost));
             }
         }
-        if pick == usize::MAX {
+        let Some((pick, _)) = pick else {
             break; // remaining query nodes are unreachable; leave them isolated
-        }
-        in_tree[pick] = true;
-        // Expand the MST edge (best_from[pick] -> pick) into its shortest path.
-        let from = best_from[pick];
-        let (_, parents) = &per_query[from];
-        if let Some(path) = reconstruct_path(parents, unique_query[from], unique_query[pick]) {
-            for window in path.windows(2) {
-                nodes.insert(window[0]);
-                nodes.insert(window[1]);
-                edges.insert(crate::ungraph::norm_edge(window[0], window[1]));
+        };
+        let Some(link) = links.get_mut(pick) else {
+            break;
+        };
+        link.in_tree = true;
+        // Expand the MST edge (from -> pick) into its shortest path.
+        let from = link.from;
+        let path = match (
+            per_query.get(from),
+            unique_query.get(from),
+            unique_query.get(pick),
+        ) {
+            (Some((_, parents)), Some(&source), Some(&target)) => {
+                reconstruct_path(parents, source, target)
+            }
+            _ => None,
+        };
+        for pair in path.as_deref().unwrap_or_default().windows(2) {
+            if let &[a, b] = pair {
+                nodes.insert(a);
+                nodes.insert(b);
+                tree.add_edge(a, b)?;
             }
         }
-        for j in 0..q {
-            if !in_tree[j] {
-                let c = per_query[pick].0[unique_query[j]];
-                if c < best_cost[j] {
-                    best_cost[j] = c;
-                    best_from[j] = pick;
+        for (j, link) in links.iter_mut().enumerate() {
+            if !link.in_tree {
+                let c = cost(pick, j);
+                if c < link.cost {
+                    link.cost = c;
+                    link.from = pick;
                 }
             }
         }
     }
 
-    // Prune non-query leaves repeatedly (Mehlhorn's final clean-up).
-    let mut tree = UnGraph::new(n);
-    for &(u, v) in &edges {
-        tree.add_edge(u, v)?;
-    }
+    // Prune non-query leaves in rounds (Mehlhorn's final clean-up).
     loop {
         let leaves: Vec<usize> = nodes
             .iter()
@@ -147,10 +168,9 @@ pub fn steiner_tree(
             nodes.remove(&v);
         }
     }
-    let final_edges: Vec<(usize, usize)> = tree.edges();
     Ok(SteinerTree {
         nodes,
-        edges: final_edges,
+        edges: tree.edges(),
     })
 }
 

@@ -3,10 +3,14 @@
 //!
 //! These routines back the Steiner-tree computation and the "smallest
 //! diameter / delete the furthest nodes" steps of the closest truss
-//! community search (Algorithm 1 of the paper).
+//! community search (Algorithm 1 of the paper). Every breadth-first search
+//! runs through [`Bfs`], which works on whole adjacency words: each
+//! dequeued node's row is masked with the not-yet-seen part of the allowed
+//! node set, so one AND per 64 nodes replaces a set lookup per neighbour.
 
-use std::collections::{BTreeSet, BinaryHeap, VecDeque};
+use std::collections::{BTreeSet, BinaryHeap};
 
+use crate::ungraph::{bits_of, NodeSet};
 use crate::UnGraph;
 
 /// Unweighted single-source shortest-path distances (`usize::MAX` marks
@@ -19,32 +23,107 @@ pub struct BfsResult {
     pub parent: Vec<usize>,
 }
 
+/// Reusable buffers for breadth-first searches over graphs with a fixed
+/// node count. The caller owns the distance buffer and reads it after each
+/// [`Bfs::run`]; nothing is allocated per search.
+#[derive(Debug, Clone)]
+pub(crate) struct Bfs {
+    /// Hop distance from the last source (`usize::MAX` = unreachable).
+    pub(crate) dist: Vec<usize>,
+    /// Allowed nodes not reached yet.
+    unseen: NodeSet,
+    /// Visit order; the queue is `queue[head..]`.
+    queue: Vec<usize>,
+}
+
+impl Bfs {
+    /// Buffers for graphs over `n` nodes.
+    pub(crate) fn new(n: usize) -> Self {
+        Self {
+            dist: vec![usize::MAX; n],
+            unseen: NodeSet::new(n),
+            queue: Vec::with_capacity(n),
+        }
+    }
+
+    /// Breadth-first search from `source` over the nodes in `within`,
+    /// writing hop distances into [`Bfs::dist`] and, when given, BFS parents
+    /// into `parent`. Nodes are dequeued in discovery order and each one's
+    /// neighbours are discovered in ascending order, so distances and
+    /// parents are those of a plain queue-based BFS. Returns the source's
+    /// eccentricity inside `within` (the distance of the last node reached).
+    pub(crate) fn run(
+        &mut self,
+        graph: &UnGraph,
+        source: usize,
+        within: &NodeSet,
+        mut parent: Option<&mut [usize]>,
+    ) -> usize {
+        let Bfs {
+            dist,
+            unseen,
+            queue,
+        } = self;
+        dist.fill(usize::MAX);
+        queue.clear();
+        unseen.clone_from(within);
+        match dist.get_mut(source) {
+            Some(d) if unseen.remove(source) => *d = 0,
+            _ => return 0,
+        }
+        queue.push(source);
+        let mut head = 0;
+        let mut eccentricity = 0;
+        while let Some(&u) = queue.get(head) {
+            head += 1;
+            eccentricity = dist.get(u).copied().unwrap_or(0);
+            let next = eccentricity + 1;
+            for (i, (free, &row)) in unseen.words_mut().iter_mut().zip(graph.row(u)).enumerate() {
+                let found = row & *free;
+                if found == 0 {
+                    continue;
+                }
+                *free &= !found;
+                for v in bits_of(found, i) {
+                    if let Some(d) = dist.get_mut(v) {
+                        *d = next;
+                    }
+                    if let Some(p) = parent.as_deref_mut().and_then(|p| p.get_mut(v)) {
+                        *p = u;
+                    }
+                    queue.push(v);
+                }
+            }
+        }
+        eccentricity
+    }
+
+    /// True when the last [`Bfs::run`] reached every node of its `within`
+    /// set (false when its source was not in the set).
+    pub(crate) fn reached_all(&self) -> bool {
+        self.unseen.is_empty()
+    }
+}
+
+/// The node set `within`, or every node of `graph` when none is given.
+fn node_set(graph: &UnGraph, within: Option<&BTreeSet<usize>>) -> NodeSet {
+    let n = graph.node_count();
+    match within {
+        Some(nodes) => NodeSet::from_nodes(n, nodes.iter().copied()),
+        None => NodeSet::full(n),
+    }
+}
+
 /// Breadth-first search from `source`, optionally restricted to a node set.
 pub fn bfs(graph: &UnGraph, source: usize, within: Option<&BTreeSet<usize>>) -> BfsResult {
     let n = graph.node_count();
-    let mut dist = vec![usize::MAX; n];
+    let mut search = Bfs::new(n);
     let mut parent = vec![usize::MAX; n];
-    if source >= n || within.is_some_and(|w| !w.contains(&source)) {
-        return BfsResult { dist, parent };
+    search.run(graph, source, &node_set(graph, within), Some(&mut parent));
+    BfsResult {
+        dist: search.dist,
+        parent,
     }
-    let mut queue = VecDeque::new();
-    dist[source] = 0;
-    queue.push_back(source);
-    while let Some(u) = queue.pop_front() {
-        for v in graph.neighbors(u) {
-            if let Some(w) = within {
-                if !w.contains(&v) {
-                    continue;
-                }
-            }
-            if dist[v] == usize::MAX {
-                dist[v] = dist[u] + 1;
-                parent[v] = u;
-                queue.push_back(v);
-            }
-        }
-    }
-    BfsResult { dist, parent }
 }
 
 /// Reconstructs the path from the BFS/Dijkstra source to `target` using the
@@ -53,13 +132,10 @@ pub fn reconstruct_path(parent: &[usize], source: usize, target: usize) -> Optio
     if source == target {
         return Some(vec![source]);
     }
-    if parent[target] == usize::MAX {
-        return None;
-    }
     let mut path = vec![target];
     let mut cur = target;
     while cur != source {
-        cur = parent[cur];
+        cur = parent.get(cur).copied().filter(|&p| p != usize::MAX)?;
         path.push(cur);
         if path.len() > parent.len() {
             return None; // defensive: malformed parent array
@@ -100,19 +176,23 @@ pub fn dijkstra(
         }
     }
     let mut heap = BinaryHeap::new();
-    dist[source] = 0.0;
+    if let Some(d) = dist.get_mut(source) {
+        *d = 0.0;
+    }
     heap.push(Entry(0.0, source));
     while let Some(Entry(d, u)) = heap.pop() {
-        if d > dist[u] {
+        if dist.get(u).is_some_and(|&best| d > best) {
             continue;
         }
         for v in graph.neighbors(u) {
             let w = weight(u, v);
             let nd = d + w.max(0.0);
-            if nd < dist[v] {
-                dist[v] = nd;
-                parent[v] = u;
-                heap.push(Entry(nd, v));
+            if let (Some(dv), Some(pv)) = (dist.get_mut(v), parent.get_mut(v)) {
+                if nd < *dv {
+                    *dv = nd;
+                    *pv = u;
+                    heap.push(Entry(nd, v));
+                }
             }
         }
     }
@@ -136,16 +216,14 @@ pub fn component_of(
 
 /// All connected components over the non-isolated nodes of the graph.
 pub fn connected_components(graph: &UnGraph) -> Vec<BTreeSet<usize>> {
-    let mut seen = vec![false; graph.node_count()];
+    let mut seen = NodeSet::new(graph.node_count());
     let mut components = Vec::new();
     for v in graph.non_isolated_nodes() {
-        if seen[v] {
+        if seen.contains(v) {
             continue;
         }
         let comp = component_of(graph, v, None);
-        for &u in &comp {
-            seen[u] = true;
-        }
+        seen.extend(comp.iter().copied());
         components.push(comp);
     }
     components
@@ -169,15 +247,19 @@ pub fn all_connected(graph: &UnGraph, targets: &[usize], within: &BTreeSet<usize
 /// Hop diameter of the subgraph induced on `nodes` (0 for empty or singleton
 /// sets, `usize::MAX` if the induced subgraph is disconnected).
 pub fn diameter(graph: &UnGraph, nodes: &BTreeSet<usize>) -> usize {
+    let set = NodeSet::from_nodes(graph.node_count(), nodes.iter().copied());
+    diameter_within(graph, &set, &mut Bfs::new(graph.node_count()))
+}
+
+/// [`diameter`] over a node bitset, with caller-owned BFS buffers.
+pub(crate) fn diameter_within(graph: &UnGraph, nodes: &NodeSet, search: &mut Bfs) -> usize {
     let mut best = 0usize;
-    for &v in nodes {
-        let res = bfs(graph, v, Some(nodes));
-        for &u in nodes {
-            if res.dist[u] == usize::MAX {
-                return usize::MAX;
-            }
-            best = best.max(res.dist[u]);
+    for v in nodes.iter() {
+        let eccentricity = search.run(graph, v, nodes, None);
+        if !search.reached_all() {
+            return usize::MAX;
         }
+        best = best.max(eccentricity);
     }
     best
 }
@@ -191,7 +273,11 @@ pub fn query_distance(
     within: &BTreeSet<usize>,
 ) -> usize {
     let res = bfs(graph, v, Some(within));
-    query.iter().map(|&q| res.dist[q]).max().unwrap_or(0)
+    query
+        .iter()
+        .map(|&q| res.dist.get(q).copied().unwrap_or(usize::MAX))
+        .max()
+        .unwrap_or(0)
 }
 
 #[cfg(test)]

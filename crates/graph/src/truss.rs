@@ -7,25 +7,45 @@
 //! these quantities to find dense, well-connected explanation subgraphs
 //! around the suggested drugs (Definition 5 and Algorithm 1 of the paper).
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 use crate::ungraph::norm_edge;
 use crate::UnGraph;
 
 /// Result of a truss decomposition: the truss number of every edge.
+///
+/// Truss numbers live in a dense `n × n` table indexed by the normalised
+/// edge, so [`TrussDecomposition::truss`] is one load; the edge list is kept
+/// beside it for ordered iteration. The table costs `4·n²` bytes (about
+/// 30 KB for the 86-drug formulary).
 #[derive(Debug, Clone, Default)]
 pub struct TrussDecomposition {
-    truss: HashMap<(usize, usize), usize>,
+    n: usize,
+    /// Truss number of edge `(u, v)`, `u < v`, at `u * n + v`; 0 = no edge.
+    table: Vec<u32>,
+    /// Every edge of the decomposed graph, ascending.
+    edges: Vec<(usize, usize)>,
     // Cached at construction: the truss-aware Steiner distance evaluates
-    // `max_truss` once per edge relaxation, and a per-call scan of the edge
-    // map used to dominate the whole community search.
+    // `max_truss` once per edge relaxation.
     max_truss: usize,
+    min_truss: usize,
+}
+
+/// Table cell of edge `{u, v}` in a table over `n` nodes, when both
+/// endpoints are in range.
+#[inline]
+fn cell(n: usize, u: usize, v: usize) -> Option<usize> {
+    let (a, b) = norm_edge(u, v);
+    (b < n).then(|| a * n + b)
 }
 
 impl TrussDecomposition {
     /// Truss number of edge `{u, v}`; `None` if the edge is not present.
     pub fn truss(&self, u: usize, v: usize) -> Option<usize> {
-        self.truss.get(&norm_edge(u, v)).copied()
+        cell(self.n, u, v)
+            .and_then(|c| self.table.get(c))
+            .filter(|&&t| t != 0)
+            .map(|&t| t as usize)
     }
 
     /// Largest truss number over all edges (2 for a triangle-free graph,
@@ -36,60 +56,70 @@ impl TrussDecomposition {
 
     /// Smallest truss number over all edges (0 for an edgeless graph).
     pub fn min_truss(&self) -> usize {
-        self.truss.values().copied().min().unwrap_or(0)
+        self.min_truss
     }
 
-    /// Iterator over `((u, v), truss)` entries.
-    pub fn iter(&self) -> impl Iterator<Item = (&(usize, usize), &usize)> {
-        self.truss.iter()
+    /// Iterator over `((u, v), truss)` entries in ascending edge order.
+    pub fn iter(&self) -> impl Iterator<Item = ((usize, usize), usize)> + '_ {
+        self.edges
+            .iter()
+            .map(|&(u, v)| ((u, v), self.truss(u, v).unwrap_or(0)))
     }
 
     /// Number of edges covered by the decomposition.
     pub fn len(&self) -> usize {
-        self.truss.len()
+        self.edges.len()
     }
 
     /// True when the decomposition covers no edges.
     pub fn is_empty(&self) -> bool {
-        self.truss.is_empty()
+        self.edges.is_empty()
     }
 }
 
-/// Computes the truss number of every edge by iterative peeling: repeatedly
-/// remove the edge with the smallest support and record its truss number as
-/// `support at removal + 2`.
+/// Computes the truss number of every edge by peeling: at level `k`
+/// (starting from 2), repeatedly remove every edge whose support has fallen
+/// to `k − 2` or less and record `k` as its truss number; removing an edge
+/// lowers the support of the two other edges of each triangle it closed,
+/// and an edge whose support drops to `k − 2` joins the level's worklist.
+/// Truss numbers do not depend on the order edges are peeled in.
 pub fn truss_decomposition(graph: &UnGraph) -> TrussDecomposition {
-    let mut work = graph.clone();
-    let mut support: HashMap<(usize, usize), usize> = HashMap::new();
-    for (u, v) in work.edges() {
-        support.insert((u, v), work.edge_support(u, v));
+    let n = graph.node_count();
+    let edges = graph.edges();
+    // While an edge is still in `work` its cell holds its support there;
+    // once peeled, its truss number.
+    let mut table = vec![0u32; n * n];
+    for &(u, v) in &edges {
+        if let Some(slot) = cell(n, u, v).and_then(|c| table.get_mut(c)) {
+            *slot = graph.edge_support(u, v) as u32;
+        }
     }
-    let mut truss: HashMap<(usize, usize), usize> = HashMap::new();
-    let mut k = 2usize;
-
-    while !support.is_empty() {
-        // Peel every edge whose support is <= k - 2 at the current level.
-        loop {
-            let to_remove: Vec<(usize, usize)> = support
-                .iter()
-                .filter(|(_, &s)| s + 2 <= k)
-                .map(|(&e, _)| e)
-                .collect();
-            if to_remove.is_empty() {
-                break;
+    let mut work = graph.clone();
+    let mut worklist: Vec<(usize, usize)> = Vec::new();
+    let mut remaining = edges.len();
+    let mut k = 2u32;
+    while remaining > 0 {
+        worklist.extend(edges.iter().copied().filter(|&(u, v)| {
+            work.has_edge(u, v)
+                && cell(n, u, v)
+                    .and_then(|c| table.get(c))
+                    .is_some_and(|&s| s + 2 <= k)
+        }));
+        while let Some((u, v)) = worklist.pop() {
+            if !work.remove_edge(u, v) {
+                continue;
             }
-            for (u, v) in to_remove {
-                if support.remove(&(u, v)).is_none() {
-                    continue;
-                }
-                truss.insert((u, v), k);
-                // Removing (u, v) destroys one triangle per common neighbour.
-                let common = work.common_neighbors(u, v);
-                work.remove_edge(u, v);
-                for w in common {
-                    for e in [norm_edge(u, w), norm_edge(v, w)] {
-                        if let Some(s) = support.get_mut(&e) {
-                            *s = s.saturating_sub(1);
+            remaining -= 1;
+            if let Some(slot) = cell(n, u, v).and_then(|c| table.get_mut(c)) {
+                *slot = k;
+            }
+            // Removing (u, v) destroys one triangle per common neighbour.
+            for w in work.common(u, v) {
+                for (a, b) in [(u, w), (v, w)] {
+                    if let Some(support) = cell(n, a, b).and_then(|c| table.get_mut(c)) {
+                        *support = support.saturating_sub(1);
+                        if *support + 2 == k {
+                            worklist.push(norm_edge(a, b));
                         }
                     }
                 }
@@ -97,15 +127,23 @@ pub fn truss_decomposition(graph: &UnGraph) -> TrussDecomposition {
         }
         k += 1;
     }
-    let max_truss = truss.values().copied().max().unwrap_or(0);
-    TrussDecomposition { truss, max_truss }
+    let mut decomposition = TrussDecomposition {
+        n,
+        table,
+        edges,
+        max_truss: 0,
+        min_truss: 0,
+    };
+    decomposition.max_truss = decomposition.iter().map(|(_, t)| t).max().unwrap_or(0);
+    decomposition.min_truss = decomposition.iter().map(|(_, t)| t).min().unwrap_or(0);
+    decomposition
 }
 
 /// Returns the subgraph formed by all edges whose truss number is at least
 /// `p` (node indices are preserved).
 pub fn p_truss_subgraph(graph: &UnGraph, decomposition: &TrussDecomposition, p: usize) -> UnGraph {
     let mut sub = UnGraph::new(graph.node_count());
-    for (&(u, v), &t) in decomposition.iter() {
+    for ((u, v), t) in decomposition.iter() {
         if t >= p {
             let _ = sub.add_edge(u, v);
         }
@@ -117,20 +155,33 @@ pub fn p_truss_subgraph(graph: &UnGraph, decomposition: &TrussDecomposition, p: 
 /// `p - 2`, restoring the p-truss property after node/edge deletions
 /// (line 13 of Algorithm 1). Nodes left isolated are dropped from `nodes`.
 pub fn maintain_p_truss(sub: &mut UnGraph, nodes: &mut BTreeSet<usize>, p: usize) {
+    peel_below(sub, p);
+    nodes.retain(|&v| sub.degree(v) > 0);
+}
+
+/// The edge half of [`maintain_p_truss`]: removes, in rounds, every edge
+/// whose support inside `sub` is below `p − 2`, until none is left. The
+/// result is the largest p-truss inside `sub`, whatever the removal order.
+pub(crate) fn peel_below(sub: &mut UnGraph, p: usize) {
+    if p <= 2 {
+        return; // every edge has support >= 0
+    }
+    let mut violating: Vec<(usize, usize)> = Vec::new();
     loop {
-        let violating: Vec<(usize, usize)> = sub
-            .edges()
-            .into_iter()
-            .filter(|&(u, v)| sub.edge_support(u, v) + 2 < p)
-            .collect();
+        for u in 0..sub.node_count() {
+            violating.extend(
+                sub.neighbors(u)
+                    .filter(|&v| u < v && sub.edge_support(u, v) + 2 < p)
+                    .map(|v| (u, v)),
+            );
+        }
         if violating.is_empty() {
             break;
         }
-        for (u, v) in violating {
+        for (u, v) in violating.drain(..) {
             sub.remove_edge(u, v);
         }
     }
-    nodes.retain(|&v| sub.degree(v) > 0);
 }
 
 #[cfg(test)]

@@ -3,6 +3,11 @@
 //! truss decomposition) must equal [`explain_suggestion`] (which recomputes
 //! both per call) field for field, on any drug set — repeats and unsorted
 //! order included.
+//!
+//! Both sides run the same community search; the search itself is checked
+//! against the slow reference implementation by the proptest in
+//! `dssddi-graph`'s test module, and pinned on a fixed corpus by
+//! `tests/explanation_golden.rs`.
 
 use dssddi::core::ms_module::{explain_suggestion, ExplanationIndex};
 use dssddi::core::MsModuleConfig;
