@@ -4,7 +4,7 @@
 //! These routines back the Steiner-tree computation and the "smallest
 //! diameter / delete the furthest nodes" steps of the closest truss
 //! community search (Algorithm 1 of the paper). Every breadth-first search
-//! runs through [`Bfs`], which works on whole adjacency words: each
+//! runs through `Bfs`, which works on whole adjacency words: each
 //! dequeued node's row is masked with the not-yet-seen part of the allowed
 //! node set, so one AND per 64 nodes replaces a set lookup per neighbour.
 
@@ -26,7 +26,7 @@ pub struct BfsResult {
 /// Reusable buffers for breadth-first searches over graphs with a fixed
 /// node count. The caller owns the distance buffer and reads it after each
 /// [`Bfs::run`]; nothing is allocated per search.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct Bfs {
     /// Hop distance from the last source (`usize::MAX` = unreachable).
     pub(crate) dist: Vec<usize>,
@@ -105,21 +105,16 @@ impl Bfs {
     }
 }
 
-/// The node set `within`, or every node of `graph` when none is given.
-fn node_set(graph: &UnGraph, within: Option<&BTreeSet<usize>>) -> NodeSet {
-    let n = graph.node_count();
-    match within {
-        Some(nodes) => NodeSet::from_nodes(n, nodes.iter().copied()),
-        None => NodeSet::full(n),
-    }
-}
-
 /// Breadth-first search from `source`, optionally restricted to a node set.
 pub fn bfs(graph: &UnGraph, source: usize, within: Option<&BTreeSet<usize>>) -> BfsResult {
     let n = graph.node_count();
+    let within = match within {
+        Some(nodes) => NodeSet::from_nodes(n, nodes.iter().copied()),
+        None => NodeSet::full(n),
+    };
     let mut search = Bfs::new(n);
     let mut parent = vec![usize::MAX; n];
-    search.run(graph, source, &node_set(graph, within), Some(&mut parent));
+    search.run(graph, source, &within, Some(&mut parent));
     BfsResult {
         dist: search.dist,
         parent,

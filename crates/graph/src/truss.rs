@@ -28,7 +28,6 @@ pub struct TrussDecomposition {
     // Cached at construction: the truss-aware Steiner distance evaluates
     // `max_truss` once per edge relaxation.
     max_truss: usize,
-    min_truss: usize,
 }
 
 /// Table cell of edge `{u, v}` in a table over `n` nodes, when both
@@ -56,7 +55,7 @@ impl TrussDecomposition {
 
     /// Smallest truss number over all edges (0 for an edgeless graph).
     pub fn min_truss(&self) -> usize {
-        self.min_truss
+        self.iter().map(|(_, t)| t).min().unwrap_or(0)
     }
 
     /// Iterator over `((u, v), truss)` entries in ascending edge order.
@@ -132,10 +131,8 @@ pub fn truss_decomposition(graph: &UnGraph) -> TrussDecomposition {
         table,
         edges,
         max_truss: 0,
-        min_truss: 0,
     };
     decomposition.max_truss = decomposition.iter().map(|(_, t)| t).max().unwrap_or(0);
-    decomposition.min_truss = decomposition.iter().map(|(_, t)| t).min().unwrap_or(0);
     decomposition
 }
 
