@@ -200,11 +200,25 @@ pub(crate) fn write_signed_graph(w: &mut ByteWriter, g: &SignedGraph) {
     }
 }
 
-/// Reads a [`SignedGraph`]; out-of-range endpoints or self loops surface as
-/// corrupt-input errors.
+/// Largest node count a persisted [`SignedGraph`] may declare. Nothing in
+/// the container backs the count, and the explanation index stores the
+/// graph as dense adjacency rows of n·⌈n/64⌉·8 bytes (2 MiB at this bound),
+/// so the decoder bounds n before anything is sized from it. Formularies
+/// this system serves have about a hundred drugs.
+pub(crate) const MAX_SIGNED_GRAPH_NODES: usize = 4096;
+
+/// Reads a [`SignedGraph`]; node counts above [`MAX_SIGNED_GRAPH_NODES`],
+/// out-of-range endpoints or self loops surface as corrupt-input errors.
 pub(crate) fn read_signed_graph(r: &mut ByteReader<'_>) -> Result<SignedGraph, SerdeError> {
     expect_section(r, section::SIGNED_GRAPH, "signed_graph")?;
     let n = r.take_usize("signed_graph.nodes")?;
+    if n > MAX_SIGNED_GRAPH_NODES {
+        return Err(SerdeError::Corrupt {
+            what: format!(
+                "signed graph declares {n} nodes; at most {MAX_SIGNED_GRAPH_NODES} are supported"
+            ),
+        });
+    }
     let edges = r.take_usize("signed_graph.edges")?;
     // Each edge occupies at least 17 bytes; reject absurd counts up front.
     if edges.checked_mul(17).is_none_or(|b| b > r.remaining()) {
@@ -312,5 +326,25 @@ mod tests {
         let mut wrong = bytes.clone();
         wrong[0] = section::KMEANS;
         assert!(read_signed_graph(&mut ByteReader::new(&wrong)).is_err());
+    }
+
+    #[test]
+    fn signed_graph_node_count_is_bounded() {
+        for (n, accepted) in [
+            (MAX_SIGNED_GRAPH_NODES, true),
+            (MAX_SIGNED_GRAPH_NODES + 1, false),
+            (usize::MAX, false),
+        ] {
+            let mut w = ByteWriter::new();
+            put_section(&mut w, section::SIGNED_GRAPH);
+            w.put_usize(n);
+            w.put_usize(0);
+            let bytes = w.into_bytes();
+            let back = read_signed_graph(&mut ByteReader::new(&bytes));
+            assert_eq!(back.is_ok(), accepted, "{n} nodes");
+            if let Err(e) = back {
+                assert!(e.to_string().contains("at most 4096"), "{e}");
+            }
+        }
     }
 }

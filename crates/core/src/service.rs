@@ -606,6 +606,16 @@ enum ServiceState {
     },
 }
 
+impl ServiceState {
+    /// The signed DDI graph the state critiques prescriptions against.
+    fn ddi_graph(&self) -> &SignedGraph {
+        match self {
+            ServiceState::Fitted { engine, .. } => engine.ddi_graph(),
+            ServiceState::SupportOnly { ddi, .. } => ddi,
+        }
+    }
+}
+
 impl fmt::Debug for DecisionService {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("DecisionService")
@@ -620,10 +630,7 @@ impl DecisionService {
     /// Assembles a service around a state, attaching the service-owned
     /// explanation cache.
     fn assemble(registry: DrugRegistry, state: ServiceState) -> Self {
-        let explanation_index = ExplanationIndex::build(match &state {
-            ServiceState::Fitted { engine, .. } => engine.ddi_graph(),
-            ServiceState::SupportOnly { ddi, .. } => ddi,
-        });
+        let explanation_index = ExplanationIndex::build(state.ddi_graph());
         Self {
             registry,
             state,
@@ -800,15 +807,16 @@ impl DecisionService {
                 r.remaining()
             )));
         }
-        let service = Self::assemble(registry, state);
-        if service.registry.len() != service.ddi_graph().node_count() {
+        // Checked before the explanation index is built, because the index
+        // sizes its dense adjacency rows from the graph's node count.
+        let nodes = state.ddi_graph().node_count();
+        if registry.len() != nodes {
             return Err(CoreError::persistence(format!(
-                "persisted DDI graph has {} nodes but the registry has {} drugs",
-                service.ddi_graph().node_count(),
-                service.registry.len()
+                "persisted DDI graph has {nodes} nodes but the registry has {} drugs",
+                registry.len()
             )));
         }
-        Ok(service)
+        Ok(Self::assemble(registry, state))
     }
 
     /// Cumulative `(hits, misses)` of the service-owned explanation cache —
@@ -848,10 +856,7 @@ impl DecisionService {
 
     /// The signed DDI graph the service critiques prescriptions against.
     pub fn ddi_graph(&self) -> &SignedGraph {
-        match &self.state {
-            ServiceState::Fitted { engine, .. } => engine.ddi_graph(),
-            ServiceState::SupportOnly { ddi, .. } => ddi,
-        }
+        self.state.ddi_graph()
     }
 
     /// The configuration the service was built with.

@@ -19,13 +19,13 @@ use crate::GraphError;
 
 /// Number of `u64` words in a bitset over `n` nodes.
 #[inline]
-fn words_for(n: usize) -> usize {
+pub(crate) fn words_for(n: usize) -> usize {
     n.div_ceil(64)
 }
 
 /// Word index and bit mask of node `v`.
 #[inline]
-fn bit(v: usize) -> (usize, u64) {
+pub(crate) fn bit(v: usize) -> (usize, u64) {
     (v / 64, 1u64 << (v % 64))
 }
 
@@ -224,12 +224,16 @@ pub fn norm_edge(u: usize, v: usize) -> (usize, usize) {
 
 impl UnGraph {
     /// Creates a graph with `n` isolated nodes.
+    ///
+    /// The rows take n·⌈n/64⌉ words; a size that overflows `usize`
+    /// saturates, so the allocation fails instead of wrapping to a short
+    /// row table.
     pub fn new(n: usize) -> Self {
         let words = words_for(n);
         Self {
             n,
             words,
-            rows: vec![0; n * words],
+            rows: vec![0; n.saturating_mul(words)],
         }
     }
 

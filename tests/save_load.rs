@@ -337,3 +337,52 @@ fn knowledge_base_container_bytes_are_pinned() {
         .collect();
     assert_eq!(KnowledgeBase::from_container_bytes(&bytes).unwrap(), kb);
 }
+
+#[test]
+fn untrusted_graph_node_counts_are_rejected_before_the_index_is_built() {
+    // The explanation index sizes dense adjacency rows from the DDI graph's
+    // node count, which nothing in a container backs. A forged count must be
+    // a clean persistence error; allocating rows for 2^20 nodes would abort.
+    let world = build_world(41);
+    let service = ServiceBuilder::fast().build_support(&world.ddi).unwrap();
+    let sealed = service.to_container_bytes();
+    let payload = dssddi::tensor::serde::open_container(&sealed)
+        .unwrap()
+        .to_vec();
+    let nodes = world.ddi.node_count() as u64;
+    let header = [nodes, world.ddi.edge_count() as u64].map(u64::to_le_bytes);
+    let at = payload
+        .windows(16)
+        .position(|w| w == header.concat())
+        .expect("signed graph header in the payload");
+    for (forged_nodes, expected) in [
+        (
+            nodes + 1,
+            format!("{} nodes but the registry has {nodes} drugs", nodes + 1),
+        ),
+        (1 << 20, "1048576 nodes; at most 4096".to_string()),
+    ] {
+        let mut forged = payload.clone();
+        forged[at..at + 8].copy_from_slice(&forged_nodes.to_le_bytes());
+        let bytes = dssddi::tensor::serde::seal_container(&forged);
+        match DecisionService::load_with_embedded_registry_bytes(&bytes) {
+            Err(CoreError::Persistence { what }) => {
+                assert!(what.contains(&expected), "{forged_nodes} nodes: {what}")
+            }
+            other => panic!("{forged_nodes} nodes: expected a persistence error, got {other:?}"),
+        }
+    }
+
+    // A registry as large as the graph does not lift the bound.
+    let names = (0..=4096).map(|i| format!("drug-{i}"));
+    let registry = DrugRegistry::from_names(names).unwrap();
+    let ddi = SignedGraph::new(registry.len());
+    let oversized = ServiceBuilder::fast()
+        .registry(registry)
+        .build_support(&ddi)
+        .unwrap();
+    match DecisionService::load_with_embedded_registry_bytes(&oversized.to_container_bytes()) {
+        Err(CoreError::Persistence { what }) => assert!(what.contains("at most 4096"), "{what}"),
+        other => panic!("expected a persistence error, got {other:?}"),
+    }
+}
