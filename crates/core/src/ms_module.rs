@@ -261,7 +261,7 @@ impl ExplanationCache {
 /// Precomputed structural view of an immutable DDI graph: the unsigned
 /// structural graph (dense adjacency bitset rows, about 1.4 KB for the
 /// 86-drug formulary) plus its full truss decomposition (line 1 of
-/// Algorithm 1, a dense per-pair table of truss numbers). A serving layer
+/// Algorithm 1, one truss number per adjacency entry). A serving layer
 /// builds the index once per fitted graph — on every model reload — and
 /// amortises both over all requests; explanations are identical to the
 /// per-call recomputation of [`explain_suggestion`].

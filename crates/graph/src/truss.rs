@@ -9,42 +9,50 @@
 
 use std::collections::BTreeSet;
 
-use crate::ungraph::norm_edge;
+use crate::ungraph::{bit, bits_of, norm_edge, words_for};
 use crate::UnGraph;
 
 /// Result of a truss decomposition: the truss number of every edge.
 ///
-/// Truss numbers live in a dense `n × n` table indexed by the normalised
-/// edge, so [`TrussDecomposition::truss`] is one load; the edge list is kept
-/// beside it for ordered iteration. The table costs `4·n²` bytes (about
-/// 30 KB for the 86-drug formulary).
+/// Truss numbers sit in one slot per edge, in ascending edge order. The
+/// decomposition keeps the upper half of the graph's adjacency rows (bit `v`
+/// of row `u` set for each edge `(u, v)`, `u < v`), each word paired with
+/// the number of edges in the words before it, so the slot of an edge is
+/// its word's count plus the bits below it in that word.
+/// [`TrussDecomposition::truss`] is therefore one load and a popcount, and
+/// the storage is 16 bytes per row word plus 4 bytes per edge (about 3 KB
+/// for the 86-drug formulary) rather than a per-pair table.
 #[derive(Debug, Clone, Default)]
 pub struct TrussDecomposition {
-    n: usize,
-    /// Truss number of edge `(u, v)`, `u < v`, at `u * n + v`; 0 = no edge.
-    table: Vec<u32>,
-    /// Every edge of the decomposed graph, ascending.
-    edges: Vec<(usize, usize)>,
+    /// Words per row: ⌈n/64⌉.
+    words: usize,
+    /// Row `u` is `cells[u * words..(u + 1) * words]`: each upper-half
+    /// adjacency word with the number of edges before it.
+    cells: Vec<(u64, usize)>,
+    /// Truss number of each edge, in ascending edge order.
+    truss: Vec<u32>,
     // Cached at construction: the truss-aware Steiner distance evaluates
     // `max_truss` once per edge relaxation.
     max_truss: usize,
 }
 
-/// Table cell of edge `{u, v}` in a table over `n` nodes, when both
-/// endpoints are in range.
-#[inline]
-fn cell(n: usize, u: usize, v: usize) -> Option<usize> {
-    let (a, b) = norm_edge(u, v);
-    (b < n).then(|| a * n + b)
-}
-
 impl TrussDecomposition {
+    /// Slot of edge `{u, v}`; `None` if the edge is not present.
+    #[inline]
+    fn slot(&self, u: usize, v: usize) -> Option<usize> {
+        let (a, b) = norm_edge(u, v);
+        let (i, mask) = bit(b);
+        if i >= self.words {
+            return None; // `b` out of range, and `a < b` with it
+        }
+        let &(word, before) = self.cells.get(a * self.words + i)?;
+        (word & mask != 0).then(|| before + (word & (mask - 1)).count_ones() as usize)
+    }
+
     /// Truss number of edge `{u, v}`; `None` if the edge is not present.
     pub fn truss(&self, u: usize, v: usize) -> Option<usize> {
-        cell(self.n, u, v)
-            .and_then(|c| self.table.get(c))
-            .filter(|&&t| t != 0)
-            .map(|&t| t as usize)
+        let slot = self.slot(u, v)?;
+        self.truss.get(slot).map(|&t| t as usize)
     }
 
     /// Largest truss number over all edges (2 for a triangle-free graph,
@@ -55,24 +63,31 @@ impl TrussDecomposition {
 
     /// Smallest truss number over all edges (0 for an edgeless graph).
     pub fn min_truss(&self) -> usize {
-        self.iter().map(|(_, t)| t).min().unwrap_or(0)
+        self.truss.iter().min().map_or(0, |&t| t as usize)
     }
 
     /// Iterator over `((u, v), truss)` entries in ascending edge order.
     pub fn iter(&self) -> impl Iterator<Item = ((usize, usize), usize)> + '_ {
-        self.edges
-            .iter()
-            .map(|&(u, v)| ((u, v), self.truss(u, v).unwrap_or(0)))
+        self.cells
+            .chunks_exact(self.words.max(1))
+            .enumerate()
+            .flat_map(|(u, row)| {
+                row.iter()
+                    .enumerate()
+                    .flat_map(move |(i, &(word, _))| bits_of(word, i).map(move |v| (u, v)))
+            })
+            .zip(&self.truss)
+            .map(|(edge, &t)| (edge, t as usize))
     }
 
     /// Number of edges covered by the decomposition.
     pub fn len(&self) -> usize {
-        self.edges.len()
+        self.truss.len()
     }
 
     /// True when the decomposition covers no edges.
     pub fn is_empty(&self) -> bool {
-        self.edges.is_empty()
+        self.truss.is_empty()
     }
 }
 
@@ -84,12 +99,31 @@ impl TrussDecomposition {
 /// Truss numbers do not depend on the order edges are peeled in.
 pub fn truss_decomposition(graph: &UnGraph) -> TrussDecomposition {
     let n = graph.node_count();
+    let words = words_for(n);
     let edges = graph.edges();
-    // While an edge is still in `work` its cell holds its support there;
-    // once peeled, its truss number.
-    let mut table = vec![0u32; n * n];
+    let mut cells = vec![(0u64, 0usize); n.saturating_mul(words)];
     for &(u, v) in &edges {
-        if let Some(slot) = cell(n, u, v).and_then(|c| table.get_mut(c)) {
+        let (i, mask) = bit(v);
+        if let Some((word, _)) = cells.get_mut(u * words + i) {
+            *word |= mask;
+        }
+    }
+    let mut before = 0;
+    for (word, count) in &mut cells {
+        *count = before;
+        before += word.count_ones() as usize;
+    }
+    let mut d = TrussDecomposition {
+        words,
+        cells,
+        truss: vec![0; edges.len()],
+        max_truss: 0,
+    };
+    // While an edge is still in `work` its slot holds its support there;
+    // once peeled, its truss number.
+    let edges = graph.edges();
+    for &(u, v) in &edges {
+        if let Some(slot) = d.slot(u, v).and_then(|s| d.truss.get_mut(s)) {
             *slot = graph.edge_support(u, v) as u32;
         }
     }
@@ -100,8 +134,8 @@ pub fn truss_decomposition(graph: &UnGraph) -> TrussDecomposition {
     while remaining > 0 {
         worklist.extend(edges.iter().copied().filter(|&(u, v)| {
             work.has_edge(u, v)
-                && cell(n, u, v)
-                    .and_then(|c| table.get(c))
+                && d.slot(u, v)
+                    .and_then(|s| d.truss.get(s))
                     .is_some_and(|&s| s + 2 <= k)
         }));
         while let Some((u, v)) = worklist.pop() {
@@ -109,13 +143,13 @@ pub fn truss_decomposition(graph: &UnGraph) -> TrussDecomposition {
                 continue;
             }
             remaining -= 1;
-            if let Some(slot) = cell(n, u, v).and_then(|c| table.get_mut(c)) {
+            if let Some(slot) = d.slot(u, v).and_then(|s| d.truss.get_mut(s)) {
                 *slot = k;
             }
             // Removing (u, v) destroys one triangle per common neighbour.
             for w in work.common(u, v) {
                 for (a, b) in [(u, w), (v, w)] {
-                    if let Some(support) = cell(n, a, b).and_then(|c| table.get_mut(c)) {
+                    if let Some(support) = d.slot(a, b).and_then(|s| d.truss.get_mut(s)) {
                         *support = support.saturating_sub(1);
                         if *support + 2 == k {
                             worklist.push(norm_edge(a, b));
@@ -126,14 +160,8 @@ pub fn truss_decomposition(graph: &UnGraph) -> TrussDecomposition {
         }
         k += 1;
     }
-    let mut decomposition = TrussDecomposition {
-        n,
-        table,
-        edges,
-        max_truss: 0,
-    };
-    decomposition.max_truss = decomposition.iter().map(|(_, t)| t).max().unwrap_or(0);
-    decomposition
+    d.max_truss = d.truss.iter().max().map_or(0, |&t| t as usize);
+    d
 }
 
 /// Returns the subgraph formed by all edges whose truss number is at least
